@@ -14,7 +14,7 @@
 namespace ncs::cluster {
 
 Cluster::Cluster(ClusterConfig config)
-    : config_(std::move(config)), engine_(config_.queue) {
+    : config_(std::move(config)) {
   NCS_ASSERT(config_.n_procs >= 1);
 
   for (int r = 0; r < config_.n_procs; ++r) {

@@ -18,6 +18,7 @@
 #include "obs/trace.hpp"
 #include "p4/p4.hpp"
 #include "proto/segment_network.hpp"
+#include "sim/engine.hpp"
 #include "sim/timeline.hpp"
 
 namespace ncs::cluster {

@@ -25,7 +25,6 @@
 #include "proto/costs.hpp"
 #include "proto/tcp.hpp"
 #include "rma/engine.hpp"
-#include "sim/engine.hpp"
 
 namespace ncs::cluster {
 
@@ -37,12 +36,6 @@ struct ClusterConfig {
   std::string name = "cluster";
   int n_procs = 4;  // workstations; one process per workstation
   NetworkKind network = NetworkKind::ethernet;
-
-  /// Event-queue backend for the simulation engine. Both backends honour
-  /// the same (time, insertion-seq) contract; legacy_map keeps the seed
-  /// std::map ordering around for determinism diffing
-  /// (tests/fault/test_determinism_digest.cpp).
-  sim::Engine::QueueKind queue = sim::Engine::kDefaultQueue;
 
   // Host CPU (SPARCstation ELC ~33 MHz / IPX ~40 MHz).
   double cpu_mhz = 33.0;

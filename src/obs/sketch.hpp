@@ -12,9 +12,9 @@
 // Determinism: the rotation schedule depends only on sample timestamps
 // (sub-window boundaries are aligned to t = 0, not to the first sample),
 // and samples arrive in the engine's (time, seq) order, so two runs that
-// are event-for-event identical produce bit-identical window series —
-// including across the calendar / legacy_map queue backends
-// (tests/obs/test_telemetry.cpp asserts this).
+// are event-for-event identical produce bit-identical window series
+// (tests/obs/test_telemetry.cpp pins one run's whole series to the digest
+// the seed std::map event queue produced).
 //
 // A cumulative histogram accumulates every sample since construction
 // alongside the ring, so end-of-run summaries (bench rows, SLO totals)

@@ -25,14 +25,12 @@ constexpr std::uint64_t kWalkWeight = 8;
 
 }  // namespace
 
-Engine::Engine(QueueKind kind) : kind_(kind) {
-  if (kind_ == QueueKind::calendar) {
-    buckets_.resize(kMinBuckets);
-    // Seed width: 1 us. Arbitrary but harmless — the first resize (at 2 *
-    // kMinBuckets pending events) replaces it with the measured gap.
-    width_ps_ = 1'000'000;
-    overflow_limit_ps_ = width_ps_ * static_cast<std::int64_t>(kMinBuckets);
-  }
+Engine::Engine() {
+  buckets_.resize(kMinBuckets);
+  // Seed width: 1 us. Arbitrary but harmless — the first resize (at 2 *
+  // kMinBuckets pending events) replaces it with the measured gap.
+  width_ps_ = 1'000'000;
+  overflow_limit_ps_ = width_ps_ * static_cast<std::int64_t>(kMinBuckets);
 }
 
 Engine::~Engine() = default;
@@ -162,13 +160,6 @@ EventId Engine::schedule_at(TimePoint t, EventFn fn) {
   const std::uint64_t seq = next_seq_++;
   ++stats_.scheduled;
 
-  if (kind_ == QueueKind::legacy_map) {
-    legacy_queue_.emplace(LegacyKey{t, seq}, std::move(fn));
-    legacy_by_seq_.emplace(seq, t);
-    stats_.peak_pending = std::max(stats_.peak_pending, legacy_queue_.size());
-    return seq;
-  }
-
   Event* e = alloc_event();
   e->time_ps = t.ps();
   e->seq = seq;
@@ -196,17 +187,6 @@ EventId Engine::schedule_at(TimePoint t, EventFn fn) {
 }
 
 bool Engine::cancel(EventId id) {
-  if (kind_ == QueueKind::legacy_map) {
-    const auto idx = legacy_by_seq_.find(id);
-    if (idx == legacy_by_seq_.end()) return false;  // already fired or cancelled
-    const auto it = legacy_queue_.find(LegacyKey{idx->second, id});
-    NCS_ASSERT(it != legacy_queue_.end());
-    legacy_queue_.erase(it);
-    legacy_by_seq_.erase(idx);
-    ++stats_.cancelled;
-    return true;
-  }
-
   const auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
   if (slot >= slots_.size()) return false;
@@ -474,22 +454,18 @@ void Engine::rebuild() {
 // --- execution ---
 
 bool Engine::step() {
-  if (kind_ == QueueKind::legacy_map) {
-    if (legacy_queue_.empty()) return false;
-    auto it = legacy_queue_.begin();
-    NCS_ASSERT(it->first.first >= now_);
-    now_ = it->first.first;
-    legacy_by_seq_.erase(it->first.second);
-    EventFn fn = std::move(it->second);
-    legacy_queue_.erase(it);
-    ++processed_;
-    fn();
-    return true;
-  }
-
   Event* e = find_min();
   if (e == nullptr) return false;
+  // The order invariant: fired (time, seq) keys strictly increase. Nothing
+  // is scheduled in the past and every new event takes the largest seq yet,
+  // so a pop-order fault that skips an event trips one of these checks when
+  // the skipped event fires later — the time half against now_ (which
+  // run_until may have moved past the last fire), the seq half inside a
+  // tie. It runs in every run at every scale, for one key compare.
   NCS_ASSERT(e->time_ps >= now_.ps());
+  NCS_ASSERT(e->time_ps > last_fired_ps_ || e->seq > last_fired_seq_);
+  last_fired_ps_ = e->time_ps;
+  last_fired_seq_ = e->seq;
   now_ = TimePoint::from_ps(e->time_ps);
   // Retire the node before firing so a self-cancel from inside the
   // callback sees a stale id — but invoke the closure *in place*: moving
@@ -514,12 +490,8 @@ std::uint64_t Engine::run() {
 
 std::uint64_t Engine::run_until(TimePoint deadline) {
   const std::uint64_t start = processed_;
-  if (kind_ == QueueKind::legacy_map) {
-    while (!legacy_queue_.empty() && legacy_queue_.begin()->first.first <= deadline) step();
-  } else {
-    for (Event* e = find_min(); e != nullptr && e->time_ps <= deadline.ps(); e = find_min())
-      step();
-  }
+  for (Event* e = find_min(); e != nullptr && e->time_ps <= deadline.ps(); e = find_min())
+    step();
   if (now_ < deadline) now_ = deadline;
   return processed_ - start;
 }

@@ -5,25 +5,23 @@
 // identical benchmark tables. Everything in the repository — links, switches,
 // NIC DMA, CPU busy windows, thread wakeups — is expressed as events here.
 //
-// Two queue backends implement that contract:
+// The queue is a Brown-style calendar queue. Events live in arena-allocated
+// nodes (slab + freelist, never freed back to malloc) hashed by time into an
+// array of doubly-linked buckets whose width adapts to the observed
+// inter-event gap; enqueue, dequeue-min and cancel are O(1) amortized, and
+// with EventFn's inline capture storage the steady-state event path performs
+// no heap allocation at all. Same-time events land in the same bucket in seq
+// order (a tail-append fast path makes same-time storms O(1) per event),
+// preserving the FIFO tier bit-identically. Events beyond the current
+// calendar year (far retransmit timers amid microsecond traffic) park on an
+// unsorted overflow list — O(1) in, O(1) cancel — and migrate into the
+// buckets when the year advances to them, so a bimodal time horizon cannot
+// wrap the table and degrade the active window's bucket lists.
 //
-//  - calendar (default): a Brown-style calendar queue. Events live in
-//    arena-allocated nodes (slab + freelist, never freed back to malloc)
-//    hashed by time into an array of doubly-linked buckets whose width
-//    adapts to the observed inter-event gap; enqueue, dequeue-min and
-//    cancel are O(1) amortized, and with EventFn's inline capture storage
-//    the steady-state event path performs no heap allocation at all.
-//    Same-time events land in the same bucket in seq order (a tail-append
-//    fast path makes same-time storms O(1) per event), preserving the
-//    FIFO tier bit-identically. Events beyond the current calendar year
-//    (far retransmit timers amid microsecond traffic) park on an unsorted
-//    overflow list — O(1) in, O(1) cancel — and migrate into the buckets
-//    when the year advances to them, so a bimodal time horizon cannot
-//    wrap the table and degrade the active window's bucket lists.
-//
-//  - legacy_map: the original std::map<(time,seq)> implementation, kept so
-//    determinism suites can diff the two orderings event for event. The
-//    NCS_LEGACY_QUEUE cmake option flips the process-wide default.
+// Two guards hold the queue to the (time, seq) contract: step() asserts
+// that every fired key is strictly greater than the last one fired, and
+// tests/sim/test_engine.cpp diffs the engine against a std::set reference
+// queue (the seed's std::map ordering) event for event.
 //
 // EventIds pack (slot, generation) so cancel() is one array index plus a
 // generation compare — no map lookups — and stale ids (fired, cancelled,
@@ -31,9 +29,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -47,20 +43,10 @@ using EventId = std::uint64_t;
 
 class Engine {
  public:
-  enum class QueueKind { calendar, legacy_map };
-
-#ifdef NCS_LEGACY_QUEUE
-  static constexpr QueueKind kDefaultQueue = QueueKind::legacy_map;
-#else
-  static constexpr QueueKind kDefaultQueue = QueueKind::calendar;
-#endif
-
-  explicit Engine(QueueKind kind = kDefaultQueue);
+  Engine();
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  QueueKind queue_kind() const { return kind_; }
 
   TimePoint now() const { return now_; }
 
@@ -89,9 +75,7 @@ class Engine {
   std::uint64_t run_until(TimePoint deadline);
 
   bool empty() const { return pending() == 0; }
-  std::size_t pending() const {
-    return kind_ == QueueKind::calendar ? n_pending_ : legacy_queue_.size();
-  }
+  std::size_t pending() const { return n_pending_; }
   std::uint64_t processed() const { return processed_; }
 
   struct Stats {
@@ -102,13 +86,11 @@ class Engine {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Calendar introspection (1 / width 0 for the legacy backend).
+  /// Calendar introspection.
   std::size_t bucket_count() const { return buckets_.size(); }
   std::int64_t bucket_width_ps() const { return width_ps_; }
 
  private:
-  // --- calendar backend ---
-
   struct Event {
     std::int64_t time_ps = 0;
     std::uint64_t seq = 0;  // insertion order; the determinism tiebreak
@@ -165,15 +147,14 @@ class Engine {
   /// the active window and re-park everything a migration just pulled in.
   void rebuild();
 
-  // --- common state ---
-
-  QueueKind kind_;
   TimePoint now_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   Stats stats_;
-
-  // --- calendar state ---
+  /// (time, seq) key of the last fired event; step() asserts each fired
+  /// key is strictly greater. Seqs start at 1, so {0, 0} precedes all.
+  std::int64_t last_fired_ps_ = 0;
+  std::uint64_t last_fired_seq_ = 0;
 
   std::vector<Bucket> buckets_;
   std::int64_t width_ps_ = 0;
@@ -224,12 +205,6 @@ class Engine {
     Event* e;
   };
   std::vector<Refile> refile_scratch_;
-
-  // --- legacy_map state (the seed implementation, verbatim) ---
-
-  using LegacyKey = std::pair<TimePoint, std::uint64_t>;  // (time, seq)
-  std::map<LegacyKey, EventFn> legacy_queue_;
-  std::unordered_map<EventId, TimePoint> legacy_by_seq_;
 };
 
 }  // namespace ncs::sim

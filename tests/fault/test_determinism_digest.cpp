@@ -1,12 +1,14 @@
 // Determinism digest suite: the calendar-queue scheduler must reproduce
 // the seed std::map scheduler's results *bit-identically*.
 //
-// Every scenario here runs twice — once per Engine::QueueKind — and
-// compares full outcome digests: FNV-1a result hashes, exact simulated
-// elapsed times (picosecond Duration equality), delivery orders and
-// retransmit counts. Any divergence in event ordering anywhere in the
-// stack shows up as a digest mismatch. These are the in-process halves of
-// the chaos_soak / proto_sweep bench comparison the CI gate runs.
+// Every scenario here is pinned to golden digests that the seed std::map
+// event queue produced (and the calendar queue matched) before that queue
+// was retired: FNV-1a result hashes, exact simulated elapsed times
+// (picosecond Duration equality), delivery orders and retransmit counts.
+// Any divergence in event ordering anywhere in the stack shows up as a
+// digest mismatch. These are the in-process halves of the chaos_soak /
+// proto_sweep bench comparison the CI gate runs; the engine-level half is
+// the reference-queue diff in tests/sim/test_engine.cpp.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -60,9 +62,8 @@ StreamDigest run_stream(ClusterConfig cfg, int count) {
 
 /// The chaos_soak "chaos" scenario in miniature: WAN stream through a
 /// bursty backbone with retransmit error control.
-ClusterConfig chaos_config(sim::Engine::QueueKind queue) {
+ClusterConfig chaos_config() {
   ClusterConfig cfg = nynet_wan(2);
-  cfg.queue = queue;
   cfg.ncs.error = {.kind = mps::ErrorControlKind::retransmit, .rto = 100_ms};
   cfg.faults.seed = 99;
   cfg.faults.link_burst("sonet", TimePoint::origin() + 1_ms, 80_ms,
@@ -71,62 +72,10 @@ ClusterConfig chaos_config(sim::Engine::QueueKind queue) {
   return cfg;
 }
 
-TEST(DeterminismDigest, ChaosStreamMatchesLegacyMapBitIdentically) {
-  const StreamDigest calendar =
-      run_stream(chaos_config(sim::Engine::QueueKind::calendar), 10);
-  const StreamDigest legacy =
-      run_stream(chaos_config(sim::Engine::QueueKind::legacy_map), 10);
-  EXPECT_EQ(calendar, legacy);
-  EXPECT_GT(calendar.retransmits, 0u);  // the scenario actually exercised loss
-}
-
-TEST(DeterminismDigest, HostPauseTimingMatchesLegacyMapBitIdentically) {
-  // Pauses stress the timer/cancel machinery: the paused host's sleep and
-  // RTO timers expire while a top-priority thread owns the CPU.
-  auto paused = [](sim::Engine::QueueKind queue) {
-    ClusterConfig cfg = nynet_wan(2);
-    cfg.queue = queue;
-    cfg.ncs.error = {.kind = mps::ErrorControlKind::retransmit, .rto = 100_ms};
-    cfg.faults.host_pause("p0", TimePoint::origin() + 2_ms, 50_ms);
-    return run_stream(cfg, 5);
-  };
-  EXPECT_EQ(paused(sim::Engine::QueueKind::calendar),
-            paused(sim::Engine::QueueKind::legacy_map));
-}
-
-TEST(DeterminismDigest, MatmulResultHashMatchesLegacyMap) {
-  // App-level digest (the proto_sweep-style check): distributed matmul over
-  // the ATM LAN, FNV-1a over the result matrix plus exact elapsed time.
-  auto digest = [](sim::Engine::QueueKind queue) {
-    ClusterConfig cfg = sun_atm_lan(3);
-    cfg.queue = queue;
-    return run_matmul_ncs(cfg, 2, NcsTier::hsm_atm);
-  };
-  const AppResult calendar = digest(sim::Engine::QueueKind::calendar);
-  const AppResult legacy = digest(sim::Engine::QueueKind::legacy_map);
-  EXPECT_TRUE(calendar.correct);
-  EXPECT_EQ(calendar.result_hash, legacy.result_hash);
-  EXPECT_EQ(calendar.elapsed, legacy.elapsed);
-  EXPECT_EQ(calendar.retransmits, legacy.retransmits);
-}
-
-TEST(DeterminismDigest, RepeatRunsStayBitIdenticalOnTheCalendarQueue) {
-  // Repeat-stability on the new backend itself (chaos_soak's repeat leg).
-  const StreamDigest a = run_stream(chaos_config(sim::Engine::QueueKind::calendar), 10);
-  const StreamDigest b = run_stream(chaos_config(sim::Engine::QueueKind::calendar), 10);
-  EXPECT_EQ(a, b);
-}
-
-// --- multi-core (PR 9) digests -------------------------------------------
-//
-// The work-stealing scheduler must not perturb the engine's deterministic
-// contract: multi-core runs are repeat-stable and backend-independent, and
-// single-core runs are bit-identical to the seed scheduler no matter which
-// smp knobs are set (they all reduce to no-ops at one core).
-
 /// The golden seed digest of chaos_config's 10-message stream, captured on
-/// the PR 8 scheduler (one CPU per host). Any cores=1 run must reproduce
-/// it exactly; a change here means the single-core fast path regressed.
+/// the PR 8 scheduler (one CPU per host) and reproduced by both event
+/// queues. Any cores=1 run must reproduce it exactly; a change here means
+/// the single-core fast path regressed.
 constexpr std::int64_t kSeedElapsedPs = 108101894184;
 constexpr std::uint64_t kSeedRetransmits = 5;
 
@@ -136,9 +85,52 @@ void expect_seed_digest(const StreamDigest& d) {
   EXPECT_EQ(d.retransmits, kSeedRetransmits);
 }
 
+TEST(DeterminismDigest, ChaosStreamMatchesLegacyMapBitIdentically) {
+  const StreamDigest calendar = run_stream(chaos_config(), 10);
+  expect_seed_digest(calendar);
+  EXPECT_GT(calendar.retransmits, 0u);  // the scenario actually exercised loss
+}
+
+TEST(DeterminismDigest, HostPauseTimingMatchesLegacyMapBitIdentically) {
+  // Pauses stress the timer/cancel machinery: the paused host's sleep and
+  // RTO timers expire while a top-priority thread owns the CPU.
+  ClusterConfig cfg = nynet_wan(2);
+  cfg.ncs.error = {.kind = mps::ErrorControlKind::retransmit, .rto = 100_ms};
+  cfg.faults.host_pause("p0", TimePoint::origin() + 2_ms, 50_ms);
+  const StreamDigest d = run_stream(cfg, 5);
+  EXPECT_EQ(d.order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(d.elapsed.ps(), 52086499995);  // the std::map queue's digest
+  EXPECT_EQ(d.retransmits, 0u);
+}
+
+TEST(DeterminismDigest, MatmulResultHashMatchesLegacyMap) {
+  // App-level digest (the proto_sweep-style check): distributed matmul over
+  // the ATM LAN, FNV-1a over the result matrix plus exact elapsed time —
+  // pinned to the std::map queue's digest.
+  const AppResult r = run_matmul_ncs(sun_atm_lan(3), 2, NcsTier::hsm_atm);
+  EXPECT_TRUE(r.correct);
+  EXPECT_EQ(r.result_hash, 0xabe182bf6e4c3dd0ull);
+  EXPECT_EQ(r.elapsed.ps(), 10658679078574);
+  EXPECT_EQ(r.retransmits, 0u);
+}
+
+TEST(DeterminismDigest, RepeatRunsStayBitIdenticalOnTheCalendarQueue) {
+  // Repeat-stability on the new backend itself (chaos_soak's repeat leg).
+  const StreamDigest a = run_stream(chaos_config(), 10);
+  const StreamDigest b = run_stream(chaos_config(), 10);
+  EXPECT_EQ(a, b);
+}
+
+// --- multi-core (PR 9) digests -------------------------------------------
+//
+// The work-stealing scheduler must not perturb the engine's deterministic
+// contract: multi-core runs are repeat-stable and match the std::map
+// queue's digests, and single-core runs are bit-identical to the seed
+// scheduler no matter which smp knobs are set (they all reduce to no-ops
+// at one core).
+
 TEST(DeterminismDigest, SingleCoreChaosDigestIsBitIdenticalToTheSeed) {
-  expect_seed_digest(run_stream(chaos_config(sim::Engine::QueueKind::calendar), 10));
-  expect_seed_digest(run_stream(chaos_config(sim::Engine::QueueKind::legacy_map), 10));
+  expect_seed_digest(run_stream(chaos_config(), 10));
 }
 
 TEST(DeterminismDigest, SingleCoreDigestIsIndependentOfSmpKnobs) {
@@ -150,7 +142,7 @@ TEST(DeterminismDigest, SingleCoreDigestIsIndependentOfSmpKnobs) {
     for (const mts::ProgressModel progress :
          {mts::ProgressModel::dedicated_core, mts::ProgressModel::on_demand}) {
       SCOPED_TRACE(std::string(to_string(steal)) + "/" + to_string(progress));
-      ClusterConfig cfg = chaos_config(sim::Engine::QueueKind::calendar);
+      ClusterConfig cfg = chaos_config();
       cfg.cores = 1;
       cfg.steal = steal;
       cfg.progress = progress;
@@ -160,28 +152,29 @@ TEST(DeterminismDigest, SingleCoreDigestIsIndependentOfSmpKnobs) {
 }
 
 TEST(DeterminismDigest, MultiCoreMatrixMatchesLegacyMapBitIdentically) {
-  // P x cores sweep: both event-queue backends must agree bit-for-bit on
-  // every multi-core configuration, exactly as they do on one core.
-  for (const int procs : {4, 16}) {
-    for (const int cores : {1, 2, 4}) {
-      SCOPED_TRACE("procs=" + std::to_string(procs) +
-                   " cores=" + std::to_string(cores));
-      auto run = [&](sim::Engine::QueueKind queue) {
-        ClusterConfig cfg = nynet_wan(procs);
-        cfg.queue = queue;
-        cfg.cores = cores;
-        cfg.ncs.error = {.kind = mps::ErrorControlKind::retransmit, .rto = 100_ms};
-        cfg.faults.seed = 99;
-        cfg.faults.link_burst("sonet", TimePoint::origin() + 1_ms, 80_ms,
-                              {.p_good_to_bad = 0.2, .p_bad_to_good = 0.2,
-                               .loss_good = 0.0, .loss_bad = 0.9});
-        return run_stream(cfg, 10);
-      };
-      const StreamDigest calendar = run(sim::Engine::QueueKind::calendar);
-      const StreamDigest legacy = run(sim::Engine::QueueKind::legacy_map);
-      EXPECT_EQ(calendar, legacy);
-      EXPECT_EQ(calendar.order.size(), 10u);
-    }
+  // P x cores sweep, pinned cell by cell to the std::map queue's digests.
+  struct Cell {
+    int procs;
+    int cores;
+    std::int64_t elapsed_ps;
+    std::uint64_t retransmits;
+  };
+  for (const Cell& cell : {Cell{4, 1, 81000000000, 0}, Cell{4, 2, 81000000000, 0},
+                           Cell{4, 4, 81000000000, 0}, Cell{16, 1, 81000000000, 0},
+                           Cell{16, 2, 81000000000, 0}, Cell{16, 4, 81000000000, 0}}) {
+    SCOPED_TRACE("procs=" + std::to_string(cell.procs) +
+                 " cores=" + std::to_string(cell.cores));
+    ClusterConfig cfg = nynet_wan(cell.procs);
+    cfg.cores = cell.cores;
+    cfg.ncs.error = {.kind = mps::ErrorControlKind::retransmit, .rto = 100_ms};
+    cfg.faults.seed = 99;
+    cfg.faults.link_burst("sonet", TimePoint::origin() + 1_ms, 80_ms,
+                          {.p_good_to_bad = 0.2, .p_bad_to_good = 0.2,
+                           .loss_good = 0.0, .loss_bad = 0.9});
+    const StreamDigest d = run_stream(cfg, 10);
+    EXPECT_EQ(d.order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+    EXPECT_EQ(d.elapsed.ps(), cell.elapsed_ps);
+    EXPECT_EQ(d.retransmits, cell.retransmits);
   }
 }
 
@@ -191,7 +184,7 @@ TEST(DeterminismDigest, MultiCoreRunsAreRepeatStableUnderEveryProgressModel) {
         mts::ProgressModel::hybrid}) {
     SCOPED_TRACE(to_string(progress));
     auto run = [&] {
-      ClusterConfig cfg = chaos_config(sim::Engine::QueueKind::calendar);
+      ClusterConfig cfg = chaos_config();
       cfg.cores = 4;
       cfg.progress = progress;
       return run_stream(cfg, 10);

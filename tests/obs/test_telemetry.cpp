@@ -9,6 +9,7 @@
 #include <string>
 
 #include "cluster/cluster.hpp"
+#include "cluster/drivers.hpp"
 #include "cluster/report.hpp"
 #include "obs/json.hpp"
 #include "obs/recorder.hpp"
@@ -153,9 +154,8 @@ TEST(FlightRecorder, FirstTriggerDumpsOnceLaterTriggersOnlyCount) {
 
 // --- The sampler over a real cluster ----------------------------------------
 
-cluster::ClusterConfig telemetry_lan_config(sim::Engine::QueueKind queue) {
+cluster::ClusterConfig telemetry_lan_config() {
   cluster::ClusterConfig cfg = cluster::sun_atm_lan(2);
-  cfg.queue = queue;
   cfg.telemetry = true;
   cfg.telemetry_cfg.period = 100_us;  // LAN runs are short: tick densely
   cfg.telemetry_cfg.window = 1_ms;
@@ -169,8 +169,8 @@ cluster::ClusterConfig telemetry_lan_config(sim::Engine::QueueKind queue) {
   return cfg;
 }
 
-std::string run_telemetry_json(sim::Engine::QueueKind queue) {
-  cluster::Cluster c(telemetry_lan_config(queue));
+std::string run_telemetry_json() {
+  cluster::Cluster c(telemetry_lan_config());
   c.init_ncs_hsm();
   constexpr int kMessages = 24;
   c.run([&](int rank) {
@@ -200,14 +200,13 @@ std::string run_telemetry_json(sim::Engine::QueueKind queue) {
 }
 
 TEST(TelemetryRun, SeriesBitIdenticalAcrossQueueBackends) {
-  // The sampler only reads module state at instants both conforming
-  // backends agree on, so the full telemetry document — every timeseries
-  // point, every gauge, every SLO grade — must match byte for byte.
-  const std::string calendar =
-      run_telemetry_json(sim::Engine::QueueKind::calendar);
-  const std::string legacy =
-      run_telemetry_json(sim::Engine::QueueKind::legacy_map);
-  EXPECT_EQ(calendar, legacy);
+  // The sampler only reads module state at instants every conforming event
+  // queue agrees on, so the full telemetry document — every timeseries
+  // point, every gauge, every SLO grade — must match, byte for byte, the
+  // one the seed std::map queue produced (pinned as its FNV-1a and length).
+  const std::string calendar = run_telemetry_json();
+  EXPECT_EQ(cluster::fnv1a(calendar.data(), calendar.size()), 0x54079cfd8edc6830ull);
+  EXPECT_EQ(calendar.size(), 17223u);
   EXPECT_NE(calendar.find("\"timeseries\""), std::string::npos);
   EXPECT_NE(calendar.find("\"mps/e2e\""), std::string::npos);
   EXPECT_NE(calendar.find("\"slo\""), std::string::npos);
@@ -215,7 +214,7 @@ TEST(TelemetryRun, SeriesBitIdenticalAcrossQueueBackends) {
 }
 
 TEST(TelemetryRun, ReportGainsTelemetrySectionAndStaysV3) {
-  cluster::Cluster c(telemetry_lan_config(sim::Engine::kDefaultQueue));
+  cluster::Cluster c(telemetry_lan_config());
   c.init_ncs_hsm();
   c.run([&](int rank) {
     if (rank == 0) c.node(0).send(0, 0, 1, Bytes(500, std::byte{2}));

@@ -35,7 +35,7 @@ import re
 import sys
 
 # Higher-is-better wall-clock rates: events_per_sec, msgs_per_sec,
-# speedup_vs_legacy, ...
+# bcast_tree_speedup, ...
 RATE_FIELD = re.compile(r"(_per_sec$|speedup)")
 
 # Lower-is-better latency tails: e2e_p999_us, rma_p99_us, put_latency_us, ...
