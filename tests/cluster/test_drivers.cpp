@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace ncs::cluster {
 namespace {
 
@@ -15,6 +17,11 @@ struct DriverCase {
   NetworkKind network;
   NcsTier tier;
 };
+
+// Prints the case by name. gtest's default dump of the raw bytes would put the
+// name pointer's load address into the listed test names, so every build would
+// register the tests under different names.
+void PrintTo(const DriverCase& c, std::ostream* os) { *os << c.name; }
 
 ClusterConfig preset(NetworkKind net) {
   switch (net) {

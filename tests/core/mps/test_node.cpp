@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,10 @@ struct TierCase {
   const char* name;
   bool hsm;
 };
+
+// Prints the case by name rather than as raw bytes (a pointer and padding),
+// so the listed test names are the same in every build.
+void PrintTo(const TierCase& c, std::ostream* os) { *os << c.name; }
 
 class NcsTier : public ::testing::TestWithParam<TierCase> {};
 
