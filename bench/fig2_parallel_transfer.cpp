@@ -17,11 +17,11 @@ namespace {
 /// Time to push `bytes` through the HSM path with the given NIC layout.
 Duration measure(std::size_t bytes, int tx_buffers, std::size_t chunk, double* cpu_busy) {
   sim::Engine engine;
-  atm::LanConfig lc;
+  atm::FabricConfig lc;
   lc.n_hosts = 2;
   lc.nic.tx_buffers = tx_buffers;
   lc.nic.io_buffer_size = chunk;
-  atm::AtmLan lan(engine, lc);
+  atm::AtmFabric lan(engine, lc);
 
   mts::SchedulerParams sp;
   sp.name = "sender";

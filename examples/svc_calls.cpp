@@ -13,9 +13,9 @@ namespace {
 
 void lan_demo() {
   sim::Engine engine;
-  LanConfig lc;
+  FabricConfig lc;
   lc.n_hosts = 3;
-  AtmLan lan(engine, lc);
+  AtmFabric lan(engine, lc);
   CallController controller(engine, lan);
 
   std::printf("--- LAN: host 0 calls host 2 ---\n");
@@ -46,10 +46,11 @@ void lan_demo() {
 
 void wan_demo() {
   sim::Engine engine;
-  WanConfig wc;
+  FabricConfig wc;
+  wc.n_sites = 2;
   wc.n_hosts = 4;
   wc.nic.io_buffer_size = 9216;  // one 8 KB message = one I/O buffer
-  AtmWan wan(engine, wc);
+  AtmFabric wan(engine, wc);
   WanCallController controller(engine, wan);
 
   std::printf("--- NYNET WAN: host 0 (site 0) calls host 3 (site 1) ---\n");

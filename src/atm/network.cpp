@@ -1,6 +1,7 @@
 #include "atm/network.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -8,235 +9,155 @@
 
 namespace ncs::atm {
 
-AtmLan::AtmLan(sim::Engine& engine, LanConfig config) {
-  NCS_ASSERT(config.n_hosts >= 1);
-  switch_ = std::make_unique<Switch>(engine, config.sw, "lan-switch");
+namespace {
 
-  for (int i = 0; i < config.n_hosts; ++i) {
-    links_.push_back(std::make_unique<net::DuplexLink>(engine, config.host_link,
-                                                       "taxi" + std::to_string(i)));
-    nics_.push_back(std::make_unique<Nic>(engine, config.nic, "nic" + std::to_string(i)));
-  }
-  // Switch port i transmits down link i toward NIC i; NIC i transmits up
-  // link i into the switch, arriving tagged with in_port = i.
-  for (int i = 0; i < config.n_hosts; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    const int port = switch_->add_port(links_[ui]->backward(), *nics_[ui], 0);
-    NCS_ASSERT(port == i);
-    nics_[ui]->attach(links_[ui]->forward(), *switch_, i);
-  }
-  for (int i = 0; i < config.n_hosts; ++i)
-    for (int j = 0; j < config.n_hosts; ++j)
-      switch_->add_route(i, vc_to(j), j, vc_to(i));
-  // RMA plane: the same mesh shifted into the kRmaVciBase label range.
-  for (int i = 0; i < config.n_hosts; ++i)
-    for (int j = 0; j < config.n_hosts; ++j)
-      switch_->add_route(i, rma_vc_to(j), j, rma_vc_to(i));
-  // NIC-collective plane: a third mesh in the kCollVciBase range, added
-  // last so the data/RMA label assignment stays byte-identical.
-  for (int i = 0; i < config.n_hosts; ++i)
-    for (int j = 0; j < config.n_hosts; ++j)
-      switch_->add_route(i, coll_vc_to(j), j, coll_vc_to(i));
+/// Labels one VPI offers on one directed hop.
+constexpr std::int64_t kHopLabels = std::int64_t{1} << 16;
+
+/// First host of every site, plus n_hosts at the end: contiguous
+/// near-equal blocks, the first (n_hosts % n_sites) sites one host larger.
+std::vector<int> site_blocks(int n_hosts, int n_sites) {
+  std::vector<int> first{0};
+  for (int s = 0; s < n_sites; ++s)
+    first.push_back(first.back() + n_hosts / n_sites + (s < n_hosts % n_sites ? 1 : 0));
+  return first;
 }
 
-AtmWan::AtmWan(sim::Engine& engine, WanConfig config) {
-  NCS_ASSERT(config.n_hosts >= 2);
-  site0_hosts_ = (config.n_hosts + 1) / 2;
-
-  switches_.push_back(std::make_unique<Switch>(engine, config.sw, "wan-switch0"));
-  switches_.push_back(std::make_unique<Switch>(engine, config.sw, "wan-switch1"));
-
-  // Per-site local port index of each host.
-  std::vector<int> local_port(static_cast<std::size_t>(config.n_hosts));
-  int counts[2] = {0, 0};
-  for (int i = 0; i < config.n_hosts; ++i)
-    local_port[static_cast<std::size_t>(i)] = counts[site_of(i)]++;
-  local_port_ = local_port;
-
-  for (int i = 0; i < config.n_hosts; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    const int site = site_of(i);
-    links_.push_back(std::make_unique<net::DuplexLink>(engine, config.host_link,
-                                                       "taxi" + std::to_string(i)));
-    nics_.push_back(std::make_unique<Nic>(engine, config.nic, "nic" + std::to_string(i)));
-    Switch& sw = *switches_[static_cast<std::size_t>(site)];
-    const int port = sw.add_port(links_[ui]->backward(), *nics_[ui], 0);
-    NCS_ASSERT(port == local_port[ui]);
-    nics_[ui]->attach(links_[ui]->forward(), sw, port);
-  }
-
-  // Backbone: one duplex link between the two site switches; its switch
-  // port index is counts[site] (the port after all host ports).
-  links_.push_back(std::make_unique<net::DuplexLink>(engine, config.backbone, "sonet"));
-  net::DuplexLink& bb = *links_.back();
-  const int bb_port0 = switches_[0]->add_port(bb.forward(), *switches_[1], counts[1]);
-  const int bb_port1 = switches_[1]->add_port(bb.backward(), *switches_[0], counts[0]);
-  NCS_ASSERT(bb_port0 == counts[0]);
-  NCS_ASSERT(bb_port1 == counts[1]);
-  const int bb_in_port[2] = {counts[0], counts[1]};
-  backbone_port_[0] = bb_port0;
-  backbone_port_[1] = bb_port1;
-
-  for (int i = 0; i < config.n_hosts; ++i) {
-    for (int j = 0; j < config.n_hosts; ++j) {
-      const int si = site_of(i);
-      const int sj = site_of(j);
-      const int pi = local_port[static_cast<std::size_t>(i)];
-      const int pj = local_port[static_cast<std::size_t>(j)];
-      if (si == sj) {
-        switches_[static_cast<std::size_t>(si)]->add_route(pi, vc_to(j), pj, vc_to(i));
-        switches_[static_cast<std::size_t>(si)]->add_route(pi, rma_vc_to(j), pj, rma_vc_to(i));
-        switches_[static_cast<std::size_t>(si)]->add_route(pi, coll_vc_to(j), pj, coll_vc_to(i));
-      } else {
-        // Ingress switch: host uplink -> backbone, with a per-pair backbone
-        // label in VPI 1 space. Egress switch: backbone -> host downlink.
-        // The RMA plane crosses on its own per-pair labels in VPI 2.
-        const VcId bb_vc{1, static_cast<std::uint16_t>(i * 256 + j)};
-        switches_[static_cast<std::size_t>(si)]->add_route(
-            pi, vc_to(j), /*out_port=*/bb_in_port[si], bb_vc);
-        switches_[static_cast<std::size_t>(sj)]->add_route(bb_in_port[sj], bb_vc, pj, vc_to(i));
-        const VcId bb_rma{2, static_cast<std::uint16_t>(i * 256 + j)};
-        switches_[static_cast<std::size_t>(si)]->add_route(
-            pi, rma_vc_to(j), /*out_port=*/bb_in_port[si], bb_rma);
-        switches_[static_cast<std::size_t>(sj)]->add_route(bb_in_port[sj], bb_rma, pj,
-                                                           rma_vc_to(i));
-        // NIC-collective plane crosses on its own per-pair labels in VPI 3.
-        const VcId bb_coll{3, static_cast<std::uint16_t>(i * 256 + j)};
-        switches_[static_cast<std::size_t>(si)]->add_route(
-            pi, coll_vc_to(j), /*out_port=*/bb_in_port[si], bb_coll);
-        switches_[static_cast<std::size_t>(sj)]->add_route(bb_in_port[sj], bb_coll, pj,
-                                                           coll_vc_to(i));
-      }
-    }
-  }
+/// Site of `host`, given site_blocks' boundaries.
+int block_of(const std::vector<int>& first, int host) {
+  return static_cast<int>(std::upper_bound(first.begin(), first.end(), host) - first.begin() - 1);
 }
 
-AtmMultiWan::AtmMultiWan(sim::Engine& engine, MultiWanConfig config) {
-  NCS_ASSERT(config.n_hosts >= 1);
-  NCS_ASSERT(config.n_sites >= 1 && config.n_sites <= config.n_hosts);
-  const int n_sites = config.n_sites;
+void sort_unique(std::vector<std::pair<int, int>>& pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+}
 
-  // Contiguous near-equal host blocks: the first (n_hosts % n_sites) sites
-  // take one extra host.
-  const int base = config.n_hosts / n_sites;
-  const int extra = config.n_hosts % n_sites;
-  std::vector<int> n_local(static_cast<std::size_t>(n_sites));
-  for (int s = 0; s < n_sites; ++s)
-    n_local[static_cast<std::size_t>(s)] = base + (s < extra ? 1 : 0);
+}  // namespace
 
-  for (int s = 0; s < n_sites; ++s)
-    switches_.push_back(
-        std::make_unique<Switch>(engine, config.sw, "wan-switch" + std::to_string(s)));
-  left_port_.assign(static_cast<std::size_t>(n_sites), -1);
-  right_port_.assign(static_cast<std::size_t>(n_sites), -1);
-  next_label_right_.assign(static_cast<std::size_t>(n_sites - 1), 1);
-  next_label_left_.assign(static_cast<std::size_t>(n_sites - 1), 1);
+std::string check_fabric(const FabricConfig& config) {
+  const int n = config.n_hosts;
+  if (n < 1) return "fabric needs at least one host";
+  if (config.n_sites < 1 || config.n_sites > n) return "fabric needs 1 <= n_sites <= n_hosts";
+  if (n > kRmaVciBase - kCollVciBase)
+    return "fabric has " + std::to_string(n) + " hosts; the collective VCI range [" +
+           std::to_string(kCollVciBase) + ", " + std::to_string(kCollVciBase) +
+           " + hosts) must stay below kRmaVciBase = " + std::to_string(kRmaVciBase);
 
-  // Host ports first, so every site's hop ports start at n_local(site).
-  int site = 0, filled = 0;
-  for (int i = 0; i < config.n_hosts; ++i) {
-    if (filled == n_local[static_cast<std::size_t>(site)]) {
-      ++site;
-      filled = 0;
-    }
-    site_of_.push_back(site);
-    local_port_.push_back(filled++);
-    const auto ui = static_cast<std::size_t>(i);
-    links_.push_back(std::make_unique<net::DuplexLink>(engine, config.host_link,
-                                                       "taxi" + std::to_string(i)));
-    nics_.push_back(std::make_unique<Nic>(engine, config.nic, "nic" + std::to_string(i)));
-    Switch& sw = *switches_[static_cast<std::size_t>(site)];
-    const int port = sw.add_port(links_[ui]->backward(), *nics_[ui], 0);
-    NCS_ASSERT(port == local_port_[ui]);
-    nics_[ui]->attach(links_[ui]->forward(), sw, port);
-  }
-
-  // Chain hops, left to right. Processing in order guarantees site s's left
-  // port (added by hop s-1) exists before its right port, so port indices
-  // are n_local(s) for the left hop and n_local(s)+1 for the right.
-  for (int h = 0; h + 1 < n_sites; ++h) {
-    const auto uh = static_cast<std::size_t>(h);
-    links_.push_back(
-        std::make_unique<net::DuplexLink>(engine, config.backbone, "sonet" + std::to_string(h)));
-    net::DuplexLink& bb = *links_.back();
-    Switch& left = *switches_[uh];
-    Switch& right = *switches_[uh + 1];
-    // The right switch's left port index is known before add_port: host
-    // ports only, since its own right port (hop h+1) is not added yet.
-    const int right_in = n_local[uh + 1];
-    right_port_[uh] = left.add_port(bb.forward(), right, right_in);
-    left_port_[uh + 1] = right.add_port(bb.backward(), left, right_port_[uh]);
-    NCS_ASSERT(left_port_[uh + 1] == right_in);
-  }
-
-  std::vector<std::pair<int, int>> pairs;
+  // Per-plane label demand of every directed hop (h = sites h, h+1).
+  const std::vector<int> first = site_blocks(n, config.n_sites);
+  const auto hops = static_cast<std::size_t>(config.n_sites - 1);
+  std::vector<std::int64_t> right(hops, 0), left(hops, 0);
   if (config.provision.empty()) {
-    for (int i = 0; i < config.n_hosts; ++i)
-      for (int j = 0; j < config.n_hosts; ++j)
-        if (i != j) pairs.emplace_back(i, j);
+    for (std::size_t h = 0; h < hops; ++h)
+      right[h] = left[h] = std::int64_t{first[h + 1]} * (n - first[h + 1]);
   } else {
-    std::sort(config.provision.begin(), config.provision.end());
-    config.provision.erase(
-        std::unique(config.provision.begin(), config.provision.end()),
-        config.provision.end());
-    for (const auto& [i, j] : config.provision) {
-      NCS_ASSERT(i >= 0 && i < config.n_hosts && j >= 0 && j < config.n_hosts);
-      if (i != j) pairs.emplace_back(i, j);
+    std::vector<std::pair<int, int>> pairs = config.provision;
+    sort_unique(pairs);
+    for (const auto& [i, j] : pairs) {
+      if (i < 0 || i >= n || j < 0 || j >= n)
+        return "provisioned pair (" + std::to_string(i) + ", " + std::to_string(j) +
+               ") names a host outside [0, " + std::to_string(n) + ")";
+      const auto si = static_cast<std::size_t>(block_of(first, i));
+      const auto sj = static_cast<std::size_t>(block_of(first, j));
+      for (std::size_t h = std::min(si, sj); h < std::max(si, sj); ++h)
+        ++(si < sj ? right : left)[h];
     }
   }
-  // Data plane first, then the RMA plane, then the NIC-collective plane,
-  // each as its own pass, so the earlier planes' backbone label assignment
-  // is byte-identical with or without the later subsystems in play (chaos
-  // digests must not move).
-  for (const auto& [i, j] : pairs) provision_pair(i, j, Plane::data);
-  for (const auto& [i, j] : pairs) provision_pair(i, j, Plane::rma);
-  for (const auto& [i, j] : pairs) provision_pair(i, j, Plane::coll);
+  std::size_t busiest = 0;
+  std::int64_t demand = 0;
+  for (std::size_t h = 0; h < hops; ++h) {
+    if (std::max(right[h], left[h]) > demand) {
+      busiest = h;
+      demand = std::max(right[h], left[h]);
+    }
+  }
+  if (demand > kHopLabels)
+    return "backbone hop " + std::to_string(busiest) + " needs " + std::to_string(demand) +
+           " labels per plane and direction, more than the " + std::to_string(kHopLabels) +
+           " one VPI offers; provision fewer pairs";
+  return {};
 }
 
-void AtmMultiWan::provision_pair(int src, int dst, Plane plane) {
-  const int si = site_of(src);
-  const int sj = site_of(dst);
-  const int pi = local_port_[static_cast<std::size_t>(src)];
-  const int pj = local_port_[static_cast<std::size_t>(dst)];
-  Switch& in_sw = *switches_[static_cast<std::size_t>(si)];
-  Switch& out_sw = *switches_[static_cast<std::size_t>(sj)];
-  const VcId dst_vc = plane == Plane::rma    ? rma_vc_to(dst)
-                      : plane == Plane::coll ? coll_vc_to(dst)
-                                             : vc_to(dst);
-  const VcId src_vc = plane == Plane::rma    ? rma_vc_to(src)
-                      : plane == Plane::coll ? coll_vc_to(src)
-                                             : vc_to(src);
-  if (si == sj) {
-    in_sw.add_route(pi, dst_vc, pj, src_vc);
-    return;
+AtmFabric::AtmFabric(sim::Engine& engine, FabricConfig config) {
+  const std::string error = check_fabric(config);
+  NCS_ASSERT_MSG(error.empty(), error.c_str());
+  const int n_sites = config.n_sites;
+  first_host_ = site_blocks(config.n_hosts, n_sites);
+
+  for (int s = 0; s < n_sites; ++s)
+    switches_.push_back(std::make_unique<Switch>(
+        engine, config.sw, n_sites == 1 ? "lan-switch" : "wan-switch" + std::to_string(s)));
+
+  // Every link and NIC before any port: growing the switches' port tables
+  // in between spreads the hosts' hot objects over the heap, which slowed
+  // a 16-host LAN run by ~8% in host time.
+  for (int i = 0; i < config.n_hosts; ++i) {
+    links_.push_back(std::make_unique<net::DuplexLink>(engine, config.host_link,
+                                                       "taxi" + std::to_string(i)));
+    nics_.push_back(std::make_unique<Nic>(engine, config.nic, "nic" + std::to_string(i)));
+  }
+  // Host ports first, so every site's backbone ports start at its host
+  // count: the left hop's port, then the right hop's.
+  for (int i = 0; i < config.n_hosts; ++i) {
+    const auto ui = static_cast<std::size_t>(i);
+    const int site = block_of(first_host_, i);
+    site_of_.push_back(site);
+    Switch& sw = site_switch(site);
+    const int port = sw.add_port(links_[ui]->backward(), *nics_[ui], 0);
+    NCS_ASSERT(port == local_port(i));
+    nics_[ui]->attach(links_[ui]->forward(), sw, port);
   }
 
-  // One fresh VPI-1 label per directed hop the path crosses; each switch
-  // along the way rewrites the previous hop's label into the next one.
-  const int step = si < sj ? 1 : -1;
-  VcId prev = dst_vc;
-  int prev_in_port = pi;
-  for (int s = si; s != sj; s += step) {
-    const auto hop = static_cast<std::size_t>(step > 0 ? s : s - 1);
-    std::uint32_t& next = step > 0 ? next_label_right_[hop] : next_label_left_[hop];
-    NCS_ASSERT_MSG(next <= 0xFFFF,
-                   "backbone hop out of VPI-1 labels; provision fewer pairs");
-    const VcId lab{1, static_cast<std::uint16_t>(next++)};
-    const int out_port =
-        step > 0 ? right_port_[static_cast<std::size_t>(s)] : left_port_[static_cast<std::size_t>(s)];
-    switches_[static_cast<std::size_t>(s)]->add_route(prev_in_port, prev, out_port, lab);
-    prev = lab;
-    prev_in_port = step > 0 ? left_port_[static_cast<std::size_t>(s + 1)]
-                            : right_port_[static_cast<std::size_t>(s - 1)];
+  // Chain hops, left to right, so site h+1's left port exists before its
+  // right port.
+  for (int h = 0; h + 1 < n_sites; ++h) {
+    links_.push_back(std::make_unique<net::DuplexLink>(
+        engine, config.backbone, n_sites == 2 ? "sonet" : "sonet" + std::to_string(h)));
+    net::DuplexLink& bb = *links_.back();
+    const int left_out = site_switch(h).add_port(bb.forward(), site_switch(h + 1),
+                                                 backbone_port(h + 1));
+    const int right_in = site_switch(h + 1).add_port(bb.backward(), site_switch(h), left_out);
+    NCS_ASSERT(left_out == backbone_port(h) + (h > 0 ? 1 : 0));
+    NCS_ASSERT(right_in == backbone_port(h + 1));
   }
-  out_sw.add_route(prev_in_port, prev, pj, src_vc);
+
+  // One plane at a time, each numbering its hop labels from 0 in its own
+  // backbone VPI, so a plane's labels never depend on the others.
+  sort_unique(config.provision);
+  next_right_.resize(static_cast<std::size_t>(n_sites - 1));
+  next_left_.resize(static_cast<std::size_t>(n_sites - 1));
+  for (const Plane& plane : {Plane{vc_to, 1}, Plane{rma_vc_to, 2}, Plane{coll_vc_to, 3}}) {
+    std::fill(next_right_.begin(), next_right_.end(), 0);
+    std::fill(next_left_.begin(), next_left_.end(), 0);
+    if (config.provision.empty()) {
+      for (int i = 0; i < config.n_hosts; ++i)
+        for (int j = 0; j < config.n_hosts; ++j) add_pvc(i, j, plane);
+    } else {
+      for (const auto& [i, j] : config.provision) add_pvc(i, j, plane);
+    }
+  }
 }
 
-int AtmMultiWan::labels_used(int site, bool rightward) const {
-  const auto hop = static_cast<std::size_t>(site);
-  const std::uint32_t next =
-      rightward ? next_label_right_[hop] : next_label_left_[hop];
-  return static_cast<int>(next - 1);
+void AtmFabric::add_pvc(int src, int dst, const Plane& plane) {
+  // Each switch on the way rewrites the previous hop's label into a fresh
+  // one for the next hop; the last rewrites it into the receive label.
+  const int dst_site = site_of(dst);
+  int site = site_of(src);
+  int in_port = local_port(src);
+  VcId in_vc = plane.vc(dst);
+  while (site != dst_site) {
+    const bool rightward = site < dst_site;
+    const auto hop = static_cast<std::size_t>(rightward ? site : site - 1);
+    std::uint32_t& next = (rightward ? next_right_ : next_left_)[hop];
+    const VcId label{plane.backbone_vpi, static_cast<std::uint16_t>(next++)};
+    const int out_port = backbone_port(site) + (rightward && site > 0 ? 1 : 0);
+    site_switch(site).add_route(in_port, in_vc, out_port, label);
+    site += rightward ? 1 : -1;
+    in_port = backbone_port(site) + (!rightward && site > 0 ? 1 : 0);
+    in_vc = label;
+  }
+  site_switch(dst_site).add_route(in_port, in_vc, local_port(dst), plane.vc(src));
 }
 
 }  // namespace ncs::atm

@@ -1,27 +1,26 @@
-// ATM testbed topologies.
+// ATM testbed topology: a chain of LAN stars, one FORE-style switch per
+// site, every host on a dedicated 140 Mbps TAXI link into its site switch.
 //
-// AtmLan — the paper's "SUN/ATM LAN": N hosts, each on a dedicated
-// 140 Mbps TAXI link into one FORE-style switch, with a full mesh of PVCs.
-//
-// AtmWan — the NYNET shape (Fig 1): two sites, each a LAN star, whose
-// switches are joined by a long-haul SONET link (OC-48 core, or the DS-3
-// upstate-downstate hop) with millisecond propagation delay — the term the
-// paper's overlap argument targets.
-//
-// AtmMultiWan — the NYNET shape extrapolated: a chain of `n_sites` LAN
-// stars whose switches are joined by per-hop SONET links. Cross-site PVCs
-// are label-switched hop by hop through the VPI-1 backbone space, so the
-// label a path consumes is per-hop, not global — but the 16-bit VCI space
-// still bounds the paths crossing any one hop, which is why provisioning
-// is sparse (only the pairs the workload names) once host counts reach the
-// hundreds.
+// One site is the paper's "SUN/ATM LAN". Two sites are the NYNET shape
+// (Fig 1): two LAN stars whose switches are joined by a long-haul SONET
+// link (OC-48 core, or the DS-3 upstate-downstate hop) with millisecond
+// propagation delay — the term the paper's overlap argument targets. More
+// sites extrapolate NYNET into a chain joined by per-hop SONET links.
 //
 // VC numbering: a host sends to destination j on VCI kVciBase+j and
 // receives from source i on VCI kVciBase+i; the switches rewrite between
-// the two (cross-site hops use a VPI-1 backbone label space).
+// the two. Each plane (data, RMA, NIC-collective) has its own host-side
+// VCI range on VPI 0 and its own backbone VPI (1, 2, 3). A cross-site PVC
+// takes a fresh label per directed hop it crosses, numbered from 0 in its
+// plane's VPI, so a path's label is per hop, not global — but the 16-bit
+// VCI space still bounds the paths crossing any one hop, which is why
+// large topologies provision sparsely (only the pairs the workload names).
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "atm/nic.hpp"
@@ -80,160 +79,95 @@ inline int coll_src_of(VcId vc) {
   return static_cast<int>(vc.vci) - static_cast<int>(kCollVciBase);
 }
 
-/// Abstract N-host ATM fabric; LAN and WAN expose the same host-side API
-/// so the protocol stacks are topology-agnostic.
-class AtmFabric {
- public:
-  virtual ~AtmFabric() = default;
-  virtual int n_hosts() const = 0;
-  virtual Nic& nic(int host) = 0;
-
-  /// Enumeration over the fabric's physical elements — how a FaultInjector
-  /// reaches every link direction and switch without knowing the topology.
-  virtual void for_each_link(const std::function<void(net::Link&)>& fn) = 0;
-  virtual void for_each_switch(const std::function<void(Switch&)>& fn) = 0;
-};
-
-struct LanConfig {
+struct FabricConfig {
   int n_hosts = 4;
+  /// Sites in the chain (1 = a single switch). Hosts split into
+  /// contiguous, near-equal blocks; site 0 gets the remainder first.
+  int n_sites = 1;
   NicParams nic;
   net::LinkParams host_link{
       .bandwidth_bps = bw::taxi_140,
       .propagation = Duration::microseconds(2),  // tens of meters of fiber
-      .per_frame_overhead = Duration::zero(),
   };
-  SwitchParams sw;
-};
-
-class AtmLan final : public AtmFabric {
- public:
-  AtmLan(sim::Engine& engine, LanConfig config);
-
-  int n_hosts() const override { return static_cast<int>(nics_.size()); }
-  Nic& nic(int host) override { return *nics_[static_cast<std::size_t>(host)]; }
-  Switch& fabric() { return *switch_; }
-
-  void for_each_link(const std::function<void(net::Link&)>& fn) override {
-    for (auto& l : links_) {
-      fn(l->forward());
-      fn(l->backward());
-    }
-  }
-  void for_each_switch(const std::function<void(Switch&)>& fn) override { fn(*switch_); }
-
- private:
-  std::vector<std::unique_ptr<net::DuplexLink>> links_;
-  std::vector<std::unique_ptr<Nic>> nics_;
-  std::unique_ptr<Switch> switch_;
-};
-
-struct WanConfig {
-  int n_hosts = 4;  // first half at site 0, rest at site 1
-  NicParams nic;
-  net::LinkParams host_link{
-      .bandwidth_bps = bw::taxi_140,
-      .propagation = Duration::microseconds(2),
-  };
-  /// Inter-site SONET hop. Default: DS-3 with upstate-downstate distance.
+  /// Per-hop inter-site SONET link. Default: DS-3 with upstate-downstate
+  /// distance.
   net::LinkParams backbone{
       .bandwidth_bps = bw::ds3,
       .propagation = Duration::milliseconds(2.5),  // ~500 km of fiber
   };
   SwitchParams sw;
-};
-
-struct MultiWanConfig {
-  int n_hosts = 8;
-  /// Sites in the chain; hosts are split into contiguous, near-equal
-  /// blocks (site 0 gets the remainder first).
-  int n_sites = 4;
-  NicParams nic;
-  net::LinkParams host_link{
-      .bandwidth_bps = bw::taxi_140,
-      .propagation = Duration::microseconds(2),
-  };
-  /// Per-hop inter-site SONET link.
-  net::LinkParams backbone{
-      .bandwidth_bps = bw::ds3,
-      .propagation = Duration::milliseconds(2.5),
-  };
-  SwitchParams sw;
   /// Directed (src, dst) host pairs to provision PVCs for; duplicates are
   /// ignored. Empty = full mesh, which is only viable while every backbone
-  /// hop carries fewer than 2^16 paths — large topologies must name the
-  /// traffic matrix.
+  /// hop carries at most 2^16 paths per plane — large topologies must name
+  /// the traffic matrix.
   std::vector<std::pair<int, int>> provision;
 };
 
-class AtmMultiWan final : public AtmFabric {
- public:
-  AtmMultiWan(sim::Engine& engine, MultiWanConfig config);
+/// Why `config` cannot be built, or "" when it can: the site count, the
+/// host-side label ranges (the NIC-collective range [kCollVciBase,
+/// kCollVciBase + n_hosts) must stay below kRmaVciBase), the provisioned
+/// pairs, and the busiest backbone hop's per-plane label demand (at most
+/// 2^16 paths in one direction).
+std::string check_fabric(const FabricConfig& config);
 
-  int n_hosts() const override { return static_cast<int>(nics_.size()); }
-  Nic& nic(int host) override { return *nics_[static_cast<std::size_t>(host)]; }
+/// N hosts on a chain of `n_sites` LAN stars. Switches are "lan-switch"
+/// with one site, else "wan-switch<s>"; host links "taxi<i>", NICs
+/// "nic<i>", backbone links "sonet" with one hop, else "sonet<h>" (hop h
+/// joins sites h and h+1).
+class AtmFabric {
+ public:
+  AtmFabric(sim::Engine& engine, FabricConfig config);
+
+  int n_hosts() const { return static_cast<int>(nics_.size()); }
   int n_sites() const { return static_cast<int>(switches_.size()); }
+  Nic& nic(int host) { return *nics_[static_cast<std::size_t>(host)]; }
   int site_of(int host) const { return site_of_[static_cast<std::size_t>(host)]; }
   Switch& site_switch(int site) { return *switches_[static_cast<std::size_t>(site)]; }
 
-  /// Backbone labels consumed on the directed hop `site` -> `site+1`
-  /// (or the reverse) — provisioning headroom introspection.
-  int labels_used(int site, bool rightward) const;
+  /// Port index of `host` on its site switch.
+  int local_port(int host) const {
+    return host - first_host_[static_cast<std::size_t>(site_of(host))];
+  }
+  /// Port index of `site`'s first backbone port, the one after its host
+  /// ports: toward site-1, or toward site 1 for site 0. With two sites it
+  /// is the site's only backbone port.
+  int backbone_port(int site) const {
+    const auto s = static_cast<std::size_t>(site);
+    return first_host_[s + 1] - first_host_[s];
+  }
 
-  void for_each_link(const std::function<void(net::Link&)>& fn) override {
+  /// Backbone labels each plane consumes on the directed hop `hop` ->
+  /// `hop+1` (or the reverse) — provisioning headroom introspection.
+  int labels_used(int hop, bool rightward) const {
+    return static_cast<int>((rightward ? next_right_ : next_left_)[static_cast<std::size_t>(hop)]);
+  }
+
+  /// Enumeration over the fabric's physical elements — how a FaultInjector
+  /// reaches every link direction and switch without knowing the topology.
+  void for_each_link(const std::function<void(net::Link&)>& fn) {
     for (auto& l : links_) {
       fn(l->forward());
       fn(l->backward());
     }
   }
-  void for_each_switch(const std::function<void(Switch&)>& fn) override {
+  void for_each_switch(const std::function<void(Switch&)>& fn) {
     for (auto& s : switches_) fn(*s);
   }
 
  private:
-  enum class Plane { data, rma, coll };
-  void provision_pair(int src, int dst, Plane plane);
+  struct Plane {
+    VcId (*vc)(int host);
+    std::uint8_t backbone_vpi;
+  };
+  /// Installs the PVC src -> dst of one plane, hop by hop.
+  void add_pvc(int src, int dst, const Plane& plane);
 
   std::vector<int> site_of_;     // per host
-  std::vector<int> local_port_;  // per host, port index on its site switch
-  std::vector<int> left_port_;   // per site, port toward site-1 (-1 = none)
-  std::vector<int> right_port_;  // per site, port toward site+1 (-1 = none)
-  /// Next free VPI-1 VCI per directed hop; index h = hop between sites h
-  /// and h+1.
-  std::vector<std::uint32_t> next_label_right_;
-  std::vector<std::uint32_t> next_label_left_;
-  std::vector<std::unique_ptr<net::DuplexLink>> links_;
-  std::vector<std::unique_ptr<Nic>> nics_;
-  std::vector<std::unique_ptr<Switch>> switches_;
-};
-
-class AtmWan final : public AtmFabric {
- public:
-  AtmWan(sim::Engine& engine, WanConfig config);
-
-  int n_hosts() const override { return static_cast<int>(nics_.size()); }
-  Nic& nic(int host) override { return *nics_[static_cast<std::size_t>(host)]; }
-  int site_of(int host) const { return host < site0_hosts_ ? 0 : 1; }
-  Switch& site_switch(int site) { return *switches_[static_cast<std::size_t>(site)]; }
-
-  /// Port index of `host` on its site switch.
-  int local_port(int host) const { return local_port_[static_cast<std::size_t>(host)]; }
-  /// Port index of the inter-site link on `site`'s switch.
-  int backbone_port(int site) const { return backbone_port_[site]; }
-
-  void for_each_link(const std::function<void(net::Link&)>& fn) override {
-    for (auto& l : links_) {
-      fn(l->forward());
-      fn(l->backward());
-    }
-  }
-  void for_each_switch(const std::function<void(Switch&)>& fn) override {
-    for (auto& s : switches_) fn(*s);
-  }
-
- private:
-  int site0_hosts_ = 0;
-  std::vector<int> local_port_;
-  int backbone_port_[2] = {0, 0};
+  std::vector<int> first_host_;  // per site, plus n_hosts at the end
+  /// Next free backbone label of the plane being installed, per directed
+  /// hop; index h = hop between sites h and h+1.
+  std::vector<std::uint32_t> next_right_;
+  std::vector<std::uint32_t> next_left_;
   std::vector<std::unique_ptr<net::DuplexLink>> links_;
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<std::unique_ptr<Switch>> switches_;

@@ -148,8 +148,9 @@ void SignalingAgent::on_signaling_pdu(BytesView wire) {
   }
 }
 
-CallController::CallController(sim::Engine& engine, AtmLan& lan) : engine_(engine), lan_(lan) {
-  lan_.fabric().add_local_endpoint(kSignalingVc, [this](int in_port, Burst burst) {
+CallController::CallController(sim::Engine& engine, AtmFabric& lan) : engine_(engine), lan_(lan) {
+  NCS_ASSERT_MSG(lan_.n_sites() == 1, "CallController needs a one-site fabric");
+  lan_.site_switch(0).add_local_endpoint(kSignalingVc, [this](int in_port, Burst burst) {
     const auto decoded = SignalingMessage::decode(burst.payload);
     if (!decoded.is_ok()) {
       NCS_WARN("atm.sig", "switch: dropping malformed signaling PDU from port %d", in_port);
@@ -159,7 +160,7 @@ CallController::CallController(sim::Engine& engine, AtmLan& lan) : engine_(engin
   });
   // Signaling always tracks the fabric's health: a dead port releases the
   // circuits through it so callers can re-establish after recovery.
-  lan_.fabric().fault().subscribe([this](int port, bool down) {
+  lan_.site_switch(0).fault().subscribe([this](int port, bool down) {
     if (down) {
       fail_port(port);
     } else {
@@ -228,13 +229,13 @@ VcId CallController::allocate_vc() {
 void CallController::install_call_routes(const Call& call) {
   // Same label on both hops: (caller port, caller_vc) -> (callee port,
   // caller_vc), and the mirror for the callee's transmit label.
-  lan_.fabric().add_route(call.caller, call.caller_vc, call.callee, call.caller_vc);
-  lan_.fabric().add_route(call.callee, call.callee_vc, call.caller, call.callee_vc);
+  lan_.site_switch(0).add_route(call.caller, call.caller_vc, call.callee, call.caller_vc);
+  lan_.site_switch(0).add_route(call.callee, call.callee_vc, call.caller, call.callee_vc);
 }
 
 void CallController::remove_call_routes(const Call& call) {
-  lan_.fabric().remove_route(call.caller, call.caller_vc);
-  lan_.fabric().remove_route(call.callee, call.callee_vc);
+  lan_.site_switch(0).remove_route(call.caller, call.caller_vc);
+  lan_.site_switch(0).remove_route(call.callee, call.callee_vc);
 }
 
 void CallController::forward_to_host(int host, const SignalingMessage& msg) {
@@ -243,7 +244,7 @@ void CallController::forward_to_host(int host, const SignalingMessage& msg) {
   burst.payload = msg.encode();
   burst.n_cells = static_cast<std::uint32_t>(aal5::cell_count(burst.payload.size()));
   burst.end_of_message = true;
-  lan_.fabric().send_local(host, std::move(burst));
+  lan_.site_switch(0).send_local(host, std::move(burst));
 }
 
 void CallController::on_signaling(int in_port, const SignalingMessage& msg) {
@@ -324,8 +325,9 @@ void CallController::on_signaling(int in_port, const SignalingMessage& msg) {
   }
 }
 
-WanCallController::WanCallController(sim::Engine& engine, AtmWan& wan)
+WanCallController::WanCallController(sim::Engine& engine, AtmFabric& wan)
     : engine_(engine), wan_(wan) {
+  NCS_ASSERT_MSG(wan_.n_sites() == 2, "WanCallController needs a two-site fabric");
   for (int site = 0; site < 2; ++site) {
     wan_.site_switch(site).add_local_endpoint(
         kSignalingVc, [this, site](int in_port, Burst burst) {

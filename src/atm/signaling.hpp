@@ -117,7 +117,7 @@ class SignalingAgent {
 /// conversation between the parties.
 class CallController {
  public:
-  CallController(sim::Engine& engine, AtmLan& lan);
+  CallController(sim::Engine& engine, AtmFabric& lan);
 
   /// Returns the agent for `host` (created lazily on first use).
   SignalingAgent& agent(int host);
@@ -165,7 +165,7 @@ class CallController {
   void release_call_faulted(const Call& call);
 
   sim::Engine& engine_;
-  AtmLan& lan_;
+  AtmFabric& lan_;
   std::map<int, std::unique_ptr<SignalingAgent>> agents_;
   std::map<std::pair<int, std::uint32_t>, Call> calls_;  // (caller, ref)
   std::map<VcId, std::pair<int, std::uint32_t>> by_vc_;  // either data vc -> call key
@@ -180,7 +180,7 @@ class CallController {
 /// continuity across the backbone.
 class WanCallController {
  public:
-  WanCallController(sim::Engine& engine, AtmWan& wan);
+  WanCallController(sim::Engine& engine, AtmFabric& wan);
 
   SignalingAgent& agent(int host);
 
@@ -227,7 +227,7 @@ class WanCallController {
   bool touches_port(const Call& call, int site, int port) const;
 
   sim::Engine& engine_;
-  AtmWan& wan_;
+  AtmFabric& wan_;
   std::map<int, std::unique_ptr<SignalingAgent>> agents_;
   std::map<std::pair<int, std::uint32_t>, Call> calls_;
   std::map<VcId, std::pair<int, std::uint32_t>> by_vc_;

@@ -13,9 +13,55 @@
 
 namespace ncs::cluster {
 
+namespace {
+
+/// Metric and trace prefix of site `s`'s switch.
+std::string switch_key(const atm::AtmFabric& fabric, int s) {
+  return fabric.n_sites() == 1 ? "switch" : "switch" + std::to_string(s);
+}
+
+atm::FabricConfig fabric_config(const ClusterConfig& config) {
+  atm::FabricConfig fc;
+  fc.n_hosts = config.n_procs;
+  switch (config.network) {
+    case NetworkKind::ethernet:
+    case NetworkKind::atm_lan:
+      fc.n_sites = 1;
+      break;
+    case NetworkKind::atm_wan:
+      fc.n_sites = std::min(2, config.n_procs);
+      break;
+    case NetworkKind::atm_wan_multi:
+      fc.n_sites = std::min(config.wan_sites, config.n_procs);
+      break;
+  }
+  fc.nic = config.nic;
+  fc.host_link = config.host_link;
+  fc.backbone = config.wan_backbone;
+  fc.sw = config.sw;
+  fc.provision = config.wan_provision;
+  return fc;
+}
+
+}  // namespace
+
+std::string check_config(const ClusterConfig& config) {
+  if (config.n_procs < 1) return "cluster needs at least one process";
+  if (config.network == NetworkKind::ethernet) return {};
+  const atm::FabricConfig fc = fabric_config(config);
+  if (config.hsm_use_svc && fc.n_sites != 1)
+    return "SVC provisioning needs the single-switch ATM LAN";
+  if (config.hsm_use_svc && config.n_procs > atm::kDynamicVciBase - atm::kVciBase)
+    return "SVC provisioning with " + std::to_string(config.n_procs) +
+           " hosts: the PVC range [kVciBase, kVciBase + hosts) must stay below "
+           "kDynamicVciBase = " + std::to_string(atm::kDynamicVciBase);
+  return atm::check_fabric(fc);
+}
+
 Cluster::Cluster(ClusterConfig config)
     : config_(std::move(config)) {
-  NCS_ASSERT(config_.n_procs >= 1);
+  const std::string error = check_config(config_);
+  NCS_ASSERT_MSG(error.empty(), error.c_str());
 
   for (int r = 0; r < config_.n_procs; ++r) {
     mts::SchedulerParams sp;
@@ -33,51 +79,10 @@ Cluster::Cluster(ClusterConfig config)
     hosts_.push_back(std::make_unique<mts::Scheduler>(engine_, sp));
   }
 
-  switch (config_.network) {
-    case NetworkKind::ethernet:
-      bus_ = std::make_unique<ether::Bus>(engine_, config_.bus, config_.n_procs);
-      break;
-    case NetworkKind::atm_lan: {
-      atm::LanConfig lc;
-      lc.n_hosts = config_.n_procs;
-      lc.nic = config_.nic;
-      lc.host_link = config_.host_link;
-      lc.sw = config_.sw;
-      fabric_ = std::make_unique<atm::AtmLan>(engine_, lc);
-      break;
-    }
-    case NetworkKind::atm_wan: {
-      atm::WanConfig wc;
-      wc.n_hosts = config_.n_procs;
-      wc.nic = config_.nic;
-      wc.host_link = config_.host_link;
-      wc.backbone = config_.wan_backbone;
-      wc.sw = config_.sw;
-      if (config_.n_procs < 2) {
-        // A one-host "WAN" degenerates to a LAN star.
-        atm::LanConfig lc;
-        lc.n_hosts = config_.n_procs;
-        lc.nic = config_.nic;
-        lc.host_link = config_.host_link;
-        lc.sw = config_.sw;
-        fabric_ = std::make_unique<atm::AtmLan>(engine_, lc);
-      } else {
-        fabric_ = std::make_unique<atm::AtmWan>(engine_, wc);
-      }
-      break;
-    }
-    case NetworkKind::atm_wan_multi: {
-      atm::MultiWanConfig mc;
-      mc.n_hosts = config_.n_procs;
-      mc.n_sites = std::min(config_.wan_sites, config_.n_procs);
-      mc.nic = config_.nic;
-      mc.host_link = config_.host_link;
-      mc.backbone = config_.wan_backbone;
-      mc.sw = config_.sw;
-      mc.provision = config_.wan_provision;
-      fabric_ = std::make_unique<atm::AtmMultiWan>(engine_, mc);
-      break;
-    }
+  if (config_.network == NetworkKind::ethernet) {
+    bus_ = std::make_unique<ether::Bus>(engine_, config_.bus, config_.n_procs);
+  } else {
+    fabric_ = std::make_unique<atm::AtmFabric>(engine_, fabric_config(config_));
   }
 
   // Fault injector, pre-wired to every physical element. A host pause is
@@ -138,15 +143,8 @@ void Cluster::enable_trace() {
   if (fabric_ != nullptr) {
     for (int r = 0; r < config_.n_procs; ++r)
       fabric_->nic(r).set_trace(&trace_, "p" + std::to_string(r) + "/nic");
-    if (auto* lan = dynamic_cast<atm::AtmLan*>(fabric_.get()); lan != nullptr) {
-      lan->fabric().set_trace(&trace_, trace_.track("switch"));
-    } else if (auto* wan = dynamic_cast<atm::AtmWan*>(fabric_.get()); wan != nullptr) {
-      for (int s = 0; s < 2; ++s)
-        wan->site_switch(s).set_trace(&trace_, trace_.track("switch" + std::to_string(s)));
-    } else if (auto* mwan = dynamic_cast<atm::AtmMultiWan*>(fabric_.get()); mwan != nullptr) {
-      for (int s = 0; s < mwan->n_sites(); ++s)
-        mwan->site_switch(s).set_trace(&trace_, trace_.track("switch" + std::to_string(s)));
-    }
+    for (int s = 0; s < fabric_->n_sites(); ++s)
+      fabric_->site_switch(s).set_trace(&trace_, trace_.track(switch_key(*fabric_, s)));
   }
   injector_->set_trace(&trace_);
   // Runtime modules created later (nodes, TCP mesh) attach in init_*.
@@ -208,16 +206,8 @@ obs::MetricsRegistry& Cluster::metrics() {
     if (fabric_ != nullptr) {
       for (int r = 0; r < config_.n_procs; ++r)
         fabric_->nic(r).register_metrics(reg, "p" + std::to_string(r) + "/nic");
-      if (auto* lan = dynamic_cast<atm::AtmLan*>(fabric_.get()); lan != nullptr) {
-        lan->fabric().register_metrics(reg, "switch");
-      } else if (auto* wan = dynamic_cast<atm::AtmWan*>(fabric_.get()); wan != nullptr) {
-        for (int s = 0; s < 2; ++s)
-          wan->site_switch(s).register_metrics(reg, "switch" + std::to_string(s));
-      } else if (auto* mwan = dynamic_cast<atm::AtmMultiWan*>(fabric_.get());
-                 mwan != nullptr) {
-        for (int s = 0; s < mwan->n_sites(); ++s)
-          mwan->site_switch(s).register_metrics(reg, "switch" + std::to_string(s));
-      }
+      for (int s = 0; s < fabric_->n_sites(); ++s)
+        fabric_->site_switch(s).register_metrics(reg, switch_key(*fabric_, s));
     }
     for (auto& e : rma_engines_)
       e->register_metrics(reg, "p" + std::to_string(e->rank()) + "/rma");
@@ -267,11 +257,8 @@ void Cluster::init_ncs_hsm() {
   NCS_ASSERT_MSG(config_.network != NetworkKind::ethernet,
                  "HSM requires an ATM fabric");
   NCS_ASSERT_MSG(p4_ == nullptr, "runtime already initialized");
-  if (config_.hsm_use_svc) {
-    auto* lan = dynamic_cast<atm::AtmLan*>(fabric_.get());
-    NCS_ASSERT_MSG(lan != nullptr, "SVC provisioning needs the single-switch ATM LAN");
-    call_controller_ = std::make_unique<atm::CallController>(engine_, *lan);
-  }
+  if (config_.hsm_use_svc)
+    call_controller_ = std::make_unique<atm::CallController>(engine_, *fabric_);
   for (int r = 0; r < config_.n_procs; ++r) {
     mps::AtmTransport::Params tp;
     tp.chunk_size = config_.hsm_chunk;

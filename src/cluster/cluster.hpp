@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "atm/signaling.hpp"
@@ -22,6 +23,12 @@
 #include "sim/timeline.hpp"
 
 namespace ncs::cluster {
+
+/// Why `config` cannot be built, or "" when it can: the ATM fabric's limits
+/// (atm::check_fabric) and, with hsm_use_svc, one site and a PVC range
+/// clear of the dynamic SVC labels. The Cluster constructor aborts with
+/// this message before building anything.
+std::string check_config(const ClusterConfig& config);
 
 class Cluster {
  public:

@@ -67,9 +67,9 @@ struct ClusterConfig {
                                .propagation = Duration::milliseconds(2.5)};
   atm::SwitchParams sw;
 
-  // Multi-stage WAN (NetworkKind::atm_wan_multi): chain length and the
-  // provisioned traffic matrix (empty = full PVC mesh; large clusters must
-  // name their pairs — see atm::MultiWanConfig::provision).
+  // Multi-stage WAN (NetworkKind::atm_wan_multi): chain length. Any ATM
+  // fabric: the provisioned traffic matrix (empty = full PVC mesh; large
+  // clusters must name their pairs — see atm::FabricConfig::provision).
   int wan_sites = 4;
   std::vector<std::pair<int, int>> wan_provision;
 
@@ -98,9 +98,11 @@ struct ClusterConfig {
   bool hsm_use_svc = false;
 
   /// Scripted fault scenario armed on the cluster's FaultInjector at run()
-  /// (empty = fault-free). Targets: "ether", link names ("taxi0", "sonet"),
-  /// switch names ("lan-switch", "wan-switch0"), NIC names ("nic0"), hosts
-  /// ("p0"). See fault/plan.hpp for the event vocabulary and text syntax.
+  /// (empty = fault-free). Targets: "ether", link names ("taxi0"; the
+  /// backbone is "sonet" with two sites, "sonet<h>" on longer chains),
+  /// switch names ("lan-switch" with one site, else "wan-switch<s>"), NIC
+  /// names ("nic0"), hosts ("p0"). See fault/plan.hpp for the event
+  /// vocabulary and text syntax.
   fault::FaultPlan faults;
 
   /// When nonempty, the cluster enables Chrome tracing at construction and

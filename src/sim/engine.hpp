@@ -89,6 +89,9 @@ class Engine {
   /// Calendar introspection.
   std::size_t bucket_count() const { return buckets_.size(); }
   std::int64_t bucket_width_ps() const { return width_ps_; }
+  /// Events at or past this time wait in the overflow bag; earlier ones
+  /// sit in the buckets.
+  std::int64_t overflow_limit_ps() const { return overflow_limit_ps_; }
 
  private:
   struct Event {

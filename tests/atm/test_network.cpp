@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 namespace ncs::atm {
@@ -40,10 +41,10 @@ TEST(VcNumbering, RoundTrip) {
 
 TEST(AtmLan, AnyToAnyDelivery) {
   sim::Engine engine;
-  LanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 4;
   cfg.nic.tx_buffers = 8;  // room for the 3 back-to-back submits per host
-  AtmLan lan(engine, cfg);
+  AtmFabric lan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, lan, &rx);
 
@@ -65,12 +66,12 @@ TEST(AtmLan, DedicatedLinksDoNotContend) {
   // Two disjoint pairs transfer simultaneously; each takes the same time
   // as it would alone — unlike shared Ethernet.
   sim::Engine engine;
-  LanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 4;
 
   const auto solo = [&] {
     sim::Engine e2;
-    AtmLan lan(e2, cfg);
+    AtmFabric lan(e2, cfg);
     std::vector<Delivery> rx;
     wire_up(e2, lan, &rx);
     lan.nic(0).submit_tx(vc_to(1), tagged_payload(0, 4000), true);
@@ -78,7 +79,7 @@ TEST(AtmLan, DedicatedLinksDoNotContend) {
     return rx.at(0).at - TimePoint::origin();
   }();
 
-  AtmLan lan(engine, cfg);
+  AtmFabric lan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, lan, &rx);
   lan.nic(0).submit_tx(vc_to(1), tagged_payload(0, 4000), true);
@@ -91,9 +92,9 @@ TEST(AtmLan, DedicatedLinksDoNotContend) {
 
 TEST(AtmLan, SelfSendLoopsThroughSwitch) {
   sim::Engine engine;
-  LanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 2;
-  AtmLan lan(engine, cfg);
+  AtmFabric lan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, lan, &rx);
   lan.nic(0).submit_tx(vc_to(0), tagged_payload(5), true);
@@ -105,9 +106,10 @@ TEST(AtmLan, SelfSendLoopsThroughSwitch) {
 
 TEST(AtmWan, CrossSiteDeliveryPaysBackbonePropagation) {
   sim::Engine engine;
-  WanConfig cfg;
+  FabricConfig cfg;
+  cfg.n_sites = 2;
   cfg.n_hosts = 4;  // hosts 0,1 at site 0; 2,3 at site 1
-  AtmWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, wan, &rx);
 
@@ -124,9 +126,10 @@ TEST(AtmWan, CrossSiteDeliveryPaysBackbonePropagation) {
 
 TEST(AtmWan, SiteAssignment) {
   sim::Engine engine;
-  WanConfig cfg;
+  FabricConfig cfg;
+  cfg.n_sites = 2;
   cfg.n_hosts = 5;
-  AtmWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
   EXPECT_EQ(wan.site_of(0), 0);
   EXPECT_EQ(wan.site_of(2), 0);  // ceil(5/2)=3 hosts at site 0
   EXPECT_EQ(wan.site_of(3), 1);
@@ -135,10 +138,11 @@ TEST(AtmWan, SiteAssignment) {
 
 TEST(AtmWan, AllPairsDeliverExactlyOnce) {
   sim::Engine engine;
-  WanConfig cfg;
+  FabricConfig cfg;
+  cfg.n_sites = 2;
   cfg.n_hosts = 6;
   cfg.nic.tx_buffers = 8;  // room for the 5 back-to-back submits per host
-  AtmWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, wan, &rx);
 
@@ -162,11 +166,11 @@ TEST(AtmWan, AllPairsDeliverExactlyOnce) {
 
 TEST(AtmMultiWan, AllPairsDeliverExactlyOnceAcrossTheChain) {
   sim::Engine engine;
-  MultiWanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 9;  // 3 hosts per site, 3 sites, full PVC mesh
   cfg.n_sites = 3;
   cfg.nic.tx_buffers = 16;  // room for the 8 back-to-back submits per host
-  AtmMultiWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, wan, &rx);
 
@@ -190,11 +194,11 @@ TEST(AtmMultiWan, AllPairsDeliverExactlyOnceAcrossTheChain) {
 
 TEST(AtmMultiWan, HostsSplitIntoContiguousNearEqualSites) {
   sim::Engine engine;
-  MultiWanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 7;
   cfg.n_sites = 3;
   cfg.provision = {{0, 1}};  // keep construction cheap
-  AtmMultiWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
   // 7 hosts over 3 sites: 3 + 2 + 2.
   EXPECT_EQ(wan.site_of(0), 0);
   EXPECT_EQ(wan.site_of(2), 0);
@@ -206,11 +210,11 @@ TEST(AtmMultiWan, HostsSplitIntoContiguousNearEqualSites) {
 
 TEST(AtmMultiWan, EachHopAddsBackbonePropagation) {
   sim::Engine engine;
-  MultiWanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 4;  // one host per site
   cfg.n_sites = 4;
   cfg.provision = {{0, 1}, {0, 3}};
-  AtmMultiWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, wan, &rx);
 
@@ -227,7 +231,7 @@ TEST(AtmMultiWan, EachHopAddsBackbonePropagation) {
 
 TEST(AtmMultiWan, SparseProvisioningBoundsTheLabelSpace) {
   sim::Engine engine;
-  MultiWanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 64;
   cfg.n_sites = 4;  // 16 hosts per site
   // Ring traffic matrix: i -> (i+1) % n, both directions of each hop pair.
@@ -236,16 +240,16 @@ TEST(AtmMultiWan, SparseProvisioningBoundsTheLabelSpace) {
     cfg.provision.emplace_back((i + 1) % cfg.n_hosts, i);
   }
   cfg.provision.emplace_back(0, 1);  // duplicates are tolerated
-  AtmMultiWan wan(engine, cfg);
+  AtmFabric wan(engine, cfg);
 
   // Only the ring crossings consume hop labels: of 128 directed pairs, the
   // vast majority are intra-site. Hop 0 carries 15->16 rightward, 16->15
   // leftward, plus the 63->0 wraparound transit (leftward through every
   // hop) and 0->63 (rightward through every hop) — each crossing takes one
-  // label per plane (data, RMA, collective).
+  // label in every plane's own VPI, and labels_used counts one plane.
   for (int h = 0; h < 3; ++h) {
-    EXPECT_LE(wan.labels_used(h, /*rightward=*/true), 6) << "hop " << h;
-    EXPECT_LE(wan.labels_used(h, /*rightward=*/false), 6) << "hop " << h;
+    EXPECT_LE(wan.labels_used(h, /*rightward=*/true), 2) << "hop " << h;
+    EXPECT_LE(wan.labels_used(h, /*rightward=*/false), 2) << "hop " << h;
   }
 
   std::vector<Delivery> rx;
@@ -257,13 +261,52 @@ TEST(AtmMultiWan, SparseProvisioningBoundsTheLabelSpace) {
   for (const auto& d : rx) EXPECT_EQ(d.data, tagged_payload(d.from));
 }
 
+TEST(AtmFabric, SelfSendLoopsThroughTheSiteSwitchOnEveryChain) {
+  // Every site count installs the same-site self route that the one-site
+  // fabric has always had.
+  for (const int n_sites : {2, 3}) {
+    SCOPED_TRACE("n_sites=" + std::to_string(n_sites));
+    sim::Engine engine;
+    FabricConfig cfg;
+    cfg.n_hosts = 6;
+    cfg.n_sites = n_sites;
+    AtmFabric fab(engine, cfg);
+    std::vector<Delivery> rx;
+    wire_up(engine, fab, &rx);
+    for (int h = 0; h < 6; ++h) fab.nic(h).submit_tx(vc_to(h), tagged_payload(h), true);
+    engine.run();
+    ASSERT_EQ(rx.size(), 6u);
+    for (const auto& d : rx) {
+      EXPECT_EQ(d.from, d.to);
+      EXPECT_EQ(d.data, tagged_payload(d.from));
+    }
+  }
+}
+
+TEST(AtmFabric, CheckCountsOnlyProvisionedPairs) {
+  // 1024 hosts on 8 sites: the full mesh needs 512 x 512 labels on the
+  // middle hop, a ring a handful.
+  FabricConfig cfg;
+  cfg.n_hosts = 1024;
+  cfg.n_sites = 8;
+  EXPECT_NE(check_fabric(cfg).find("backbone hop 3 needs 262144 labels"), std::string::npos)
+      << check_fabric(cfg);
+  for (int i = 0; i < cfg.n_hosts; ++i) {
+    cfg.provision.emplace_back(i, (i + 1) % cfg.n_hosts);
+    cfg.provision.emplace_back((i + 1) % cfg.n_hosts, i);
+  }
+  EXPECT_EQ(check_fabric(cfg), "");
+  cfg.provision.emplace_back(0, 1024);
+  EXPECT_NE(check_fabric(cfg).find("outside [0, 1024)"), std::string::npos);
+}
+
 TEST(AtmLan, DetailedModeDeliversIdenticalData) {
   sim::Engine engine;
-  LanConfig cfg;
+  FabricConfig cfg;
   cfg.n_hosts = 2;
   cfg.nic.detailed_cells = true;
   cfg.nic.io_buffer_size = 8192;
-  AtmLan lan(engine, cfg);
+  AtmFabric lan(engine, cfg);
   std::vector<Delivery> rx;
   wire_up(engine, lan, &rx);
   const Bytes data = tagged_payload(3, 5000);

@@ -28,9 +28,9 @@ struct NicCollFixture : ::testing::Test {
   static constexpr int kHosts = 5;
 
   NicCollFixture() {
-    LanConfig lc;
+    FabricConfig lc;
     lc.n_hosts = kHosts;
-    lan = std::make_unique<AtmLan>(engine, lc);
+    lan = std::make_unique<AtmFabric>(engine, lc);
     for (int h = 0; h < kHosts; ++h) {
       engines.push_back(std::make_unique<NicCollEngine>(
           engine, lan->nic(h), NicCollParams{}, "nic-coll" + std::to_string(h)));
@@ -60,7 +60,7 @@ struct NicCollFixture : ::testing::Test {
   }
 
   sim::Engine engine;
-  std::unique_ptr<AtmLan> lan;
+  std::unique_ptr<AtmFabric> lan;
   std::vector<std::unique_ptr<NicCollEngine>> engines;
   std::vector<Completion> completions;
 };
@@ -157,7 +157,7 @@ TEST_F(NicCollFixture, MidBarrierSwitchFaultThenRecoveryCompletesNextOp) {
   program_all();
   // The switch port of host 2 dies just as the barrier starts: host 2's
   // contribution is dropped at the fabric.
-  lan->fabric().fault().set_port_down(2, true);
+  lan->site_switch(0).fault().set_port_down(2, true);
   for (int h = 0; h < kHosts; ++h) eng(h).contribute(0, CollKind::barrier, {});
   engine.run();
   EXPECT_TRUE(completions.empty());
@@ -166,7 +166,7 @@ TEST_F(NicCollFixture, MidBarrierSwitchFaultThenRecoveryCompletesNextOp) {
     eng(h).abort_op(0);
     eng(h).teardown();
   }
-  lan->fabric().fault().set_port_down(2, false);
+  lan->site_switch(0).fault().set_port_down(2, false);
 
   program_all();
   for (int h = 0; h < kHosts; ++h) eng(h).contribute(1, CollKind::barrier, {});

@@ -9,14 +9,14 @@ using namespace ncs::literals;
 
 struct SignalingFixture : ::testing::Test {
   SignalingFixture() {
-    LanConfig lc;
+    FabricConfig lc;
     lc.n_hosts = 3;
-    lan = std::make_unique<AtmLan>(engine, lc);
+    lan = std::make_unique<AtmFabric>(engine, lc);
     controller = std::make_unique<CallController>(engine, *lan);
   }
 
   sim::Engine engine;
-  std::unique_ptr<AtmLan> lan;
+  std::unique_ptr<AtmFabric> lan;
   std::unique_ptr<CallController> controller;
 };
 
@@ -124,10 +124,10 @@ TEST_F(SignalingFixture, ReleaseTearsDownRoutes) {
   EXPECT_FALSE(controller->agent(1).accepted_vc_from(0).has_value());
 
   // Traffic on the released label is now unroutable.
-  const auto unroutable_before = lan->fabric().stats().unroutable;
+  const auto unroutable_before = lan->site_switch(0).stats().unroutable;
   lan->nic(0).submit_tx(*caller_vc, to_bytes("ghost"), true);
   engine.run();
-  EXPECT_EQ(lan->fabric().stats().unroutable, unroutable_before + 1);
+  EXPECT_EQ(lan->site_switch(0).stats().unroutable, unroutable_before + 1);
 }
 
 TEST_F(SignalingFixture, ConcurrentCallsGetDistinctLabels) {
@@ -204,11 +204,11 @@ TEST_F(SignalingFixture, ReleaseMidTransferDropsTheTailWithoutCrashing) {
   EXPECT_GT(delivered, 0);
   EXPECT_LT(delivered, 8);
   EXPECT_EQ(controller->stats().active_calls, 0u);
-  EXPECT_GT(lan->fabric().stats().unroutable, 0u);
+  EXPECT_GT(lan->site_switch(0).stats().unroutable, 0u);
 }
 
 TEST_F(SignalingFixture, SetupTowardFailedPortIsRejectedNotHung) {
-  lan->fabric().fault().set_port_down(2, true);
+  lan->site_switch(0).fault().set_port_down(2, true);
   controller->agent(2);
   bool answered = false;
   Status status;
@@ -230,14 +230,14 @@ TEST_F(SignalingFixture, PortFailureReleasesCallsAndRecoveredPortCarriesNewSvc) 
   engine.run();
   ASSERT_TRUE(first.has_value());
 
-  lan->fabric().fault().set_port_down(1, true);
+  lan->site_switch(0).fault().set_port_down(1, true);
   engine.run();
   EXPECT_EQ(controller->stats().faulted_releases, 1u);
   EXPECT_EQ(controller->stats().active_calls, 0u);
 
   // After recovery a fresh SETUP succeeds with a new label, and the
   // re-established circuit carries data end to end.
-  lan->fabric().fault().set_port_down(1, false);
+  lan->site_switch(0).fault().set_port_down(1, false);
   std::optional<VcId> second;
   controller->agent(0).open_call(1, [&](Result<VcId> r) { second = r.value(); });
   engine.run();
@@ -253,10 +253,10 @@ TEST_F(SignalingFixture, PortFailureReleasesCallsAndRecoveredPortCarriesNewSvc) 
   EXPECT_EQ(got, to_bytes("after recovery"));
 
   // The failed-over label stayed dead.
-  const auto unroutable_before = lan->fabric().stats().unroutable;
+  const auto unroutable_before = lan->site_switch(0).stats().unroutable;
   lan->nic(0).submit_tx(*first, to_bytes("stale"), true);
   engine.run();
-  EXPECT_EQ(lan->fabric().stats().unroutable, unroutable_before + 1);
+  EXPECT_EQ(lan->site_switch(0).stats().unroutable, unroutable_before + 1);
 }
 
 // --- dynamic-label space vs. the reserved planes ---------------------------
@@ -295,14 +295,15 @@ TEST_F(SignalingDeathTest, ExhaustedDynamicVciDiesInsteadOfSplicingIntoCollPlane
 
 struct WanSignalingFixture : ::testing::Test {
   WanSignalingFixture() {
-    WanConfig wc;
+    FabricConfig wc;
+    wc.n_sites = 2;
     wc.n_hosts = 4;  // 0,1 at site 0; 2,3 at site 1
-    wan = std::make_unique<AtmWan>(engine, wc);
+    wan = std::make_unique<AtmFabric>(engine, wc);
     controller = std::make_unique<WanCallController>(engine, *wan);
   }
 
   sim::Engine engine;
-  std::unique_ptr<AtmWan> wan;
+  std::unique_ptr<AtmFabric> wan;
   std::unique_ptr<WanCallController> controller;
 };
 

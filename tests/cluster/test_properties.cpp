@@ -1,6 +1,7 @@
 // Cross-cutting property tests over the full stack.
 #include <gtest/gtest.h>
 
+#include "cluster/cluster.hpp"
 #include "cluster/drivers.hpp"
 #include "cluster/table.hpp"
 
@@ -138,6 +139,43 @@ TEST(TableFormat, RendersPaperLayout) {
   EXPECT_NE(table.find("18.77%"), std::string::npos);  // (16.89-13.72)/16.89
   EXPECT_NE(table.find("20.07%"), std::string::npos);  // ATM column
   EXPECT_NE(table.find("not measured"), std::string::npos);
+}
+
+// --- topology limits ---------------------------------------------------
+//
+// Every topology the config accepts must build; the rest are refused with
+// a message by the Cluster constructor before it builds a host. One test
+// per limit: the largest P passes check_config, and one more is refused.
+
+TEST(ConfigLimits, LanTakes2000Hosts) {
+  EXPECT_EQ(check_config(sun_atm_lan(2000)), "");
+  EXPECT_DEATH({ Cluster c(sun_atm_lan(2001)); }, "2001 hosts; the collective VCI range");
+}
+
+TEST(ConfigLimits, SvcProvisioningTakes960Hosts) {
+  ClusterConfig cfg = sun_atm_lan(960);
+  cfg.hsm_use_svc = true;
+  EXPECT_EQ(check_config(cfg), "");
+  cfg.n_procs = 961;
+  EXPECT_DEATH({ Cluster c(cfg); }, "SVC provisioning with 961 hosts");
+}
+
+TEST(ConfigLimits, SvcProvisioningNeedsOneSite) {
+  ClusterConfig cfg = nynet_wan(4);
+  cfg.hsm_use_svc = true;
+  EXPECT_DEATH({ Cluster c(cfg); }, "SVC provisioning needs the single-switch ATM LAN");
+}
+
+TEST(ConfigLimits, NynetWanTakes512Hosts) {
+  // 256 x 256 cross-site pairs fill one VPI's 65536 labels on the hop.
+  EXPECT_EQ(check_config(nynet_wan(512)), "");
+  EXPECT_DEATH({ Cluster c(nynet_wan(513)); }, "backbone hop 0 needs 65792 labels");
+}
+
+TEST(ConfigLimits, EightSiteChainTakes512Hosts) {
+  // The middle hop carries every pair between the chain's halves.
+  EXPECT_EQ(check_config(nynet_wan_multi(512, 8)), "");
+  EXPECT_DEATH({ Cluster c(nynet_wan_multi(513, 8)); }, "backbone hop 3 needs 65792 labels");
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ struct StreamDigest {
   bool operator==(const StreamDigest&) const = default;
 };
 
-StreamDigest run_stream(ClusterConfig cfg, int count) {
+StreamDigest run_stream(ClusterConfig cfg, int count, int dst = 1) {
   Cluster c(cfg);
   c.init_ncs_hsm();
   StreamDigest out;
@@ -44,9 +44,9 @@ StreamDigest run_stream(ClusterConfig cfg, int count) {
         for (int i = 0; i < count; ++i) {
           Bytes b(1500, std::byte{0});
           b[0] = static_cast<std::byte>(i);
-          node.send(0, 0, 1, b);
+          node.send(0, 0, dst, b);
         }
-      } else if (rank == 1) {
+      } else if (rank == dst) {
         for (int i = 0; i < count; ++i) {
           const Bytes m = node.recv(kAnyThread, kAnyProcess, 0);
           out.order.push_back(static_cast<int>(m[0]));
@@ -175,6 +175,40 @@ TEST(DeterminismDigest, MultiCoreMatrixMatchesLegacyMapBitIdentically) {
     EXPECT_EQ(d.order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
     EXPECT_EQ(d.elapsed.ps(), cell.elapsed_ps);
     EXPECT_EQ(d.retransmits, cell.retransmits);
+  }
+}
+
+TEST(DeterminismDigest, MultiCoreCrossSiteStreamIsPinned) {
+  // The matrix above streams rank 0 -> 1, which share site 0, so its cells
+  // pin the fault plan's end rather than the stream. Here rank P-1 sits on
+  // site 1: every message crosses the bursty backbone, so each cell sees
+  // loss and retransmits. The pins were captured before the backbone label
+  // rule changed, so they also guard that labels leave cross-site timing
+  // alone. At one core the stream reproduces the two-host seed digest.
+  struct Cell {
+    int procs;
+    int cores;
+    std::int64_t elapsed_ps;
+    std::uint64_t retransmits;
+  };
+  for (const Cell& cell :
+       {Cell{4, 1, 108101894184, 5}, Cell{4, 2, 108008529898, 5}, Cell{4, 4, 108008529898, 5},
+        Cell{16, 1, 108101894184, 5}, Cell{16, 2, 108008529898, 5},
+        Cell{16, 4, 108008529898, 5}}) {
+    SCOPED_TRACE("procs=" + std::to_string(cell.procs) +
+                 " cores=" + std::to_string(cell.cores));
+    ClusterConfig cfg = nynet_wan(cell.procs);
+    cfg.cores = cell.cores;
+    cfg.ncs.error = {.kind = mps::ErrorControlKind::retransmit, .rto = 100_ms};
+    cfg.faults.seed = 99;
+    cfg.faults.link_burst("sonet", TimePoint::origin() + 1_ms, 80_ms,
+                          {.p_good_to_bad = 0.2, .p_bad_to_good = 0.2,
+                           .loss_good = 0.0, .loss_bad = 0.9});
+    const StreamDigest d = run_stream(cfg, 10, cell.procs - 1);
+    EXPECT_EQ(d.order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+    EXPECT_EQ(d.elapsed.ps(), cell.elapsed_ps);
+    EXPECT_EQ(d.retransmits, cell.retransmits);
+    EXPECT_GT(d.retransmits, 0u);  // the stream actually crossed the burst
   }
 }
 

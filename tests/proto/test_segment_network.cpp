@@ -31,16 +31,16 @@ TEST(EthernetSegmentNetwork, ForwardsToBus) {
 
 struct AtmSegFixture : ::testing::Test {
   AtmSegFixture() {
-    atm::LanConfig lc;
+    atm::FabricConfig lc;
     lc.n_hosts = 3;
     lc.nic.io_buffer_size = 9216;
     lc.nic.tx_buffers = 2;
-    lan = std::make_unique<atm::AtmLan>(engine, lc);
+    lan = std::make_unique<atm::AtmFabric>(engine, lc);
     net = std::make_unique<AtmSegmentNetwork>(engine, *lan);
   }
 
   sim::Engine engine;
-  std::unique_ptr<atm::AtmLan> lan;
+  std::unique_ptr<atm::AtmFabric> lan;
   std::unique_ptr<AtmSegmentNetwork> net;
 };
 
@@ -88,10 +88,10 @@ TEST_F(AtmSegFixture, InterleavedDestinationsKeepPerPairOrder) {
 
 TEST(AtmSegmentNetworkDeathTest, SmallNicBuffersRejected) {
   sim::Engine engine;
-  atm::LanConfig lc;
+  atm::FabricConfig lc;
   lc.n_hosts = 2;
   lc.nic.io_buffer_size = 4096;  // < 9180 MTU
-  atm::AtmLan lan(engine, lc);
+  atm::AtmFabric lan(engine, lc);
   EXPECT_DEATH(AtmSegmentNetwork(engine, lan), "9180");
 }
 

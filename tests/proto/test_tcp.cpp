@@ -166,11 +166,11 @@ TEST_F(TcpFixture, ManyPairsConcurrently) {
 
 struct LossyAtmFixture : ::testing::Test {
   void build(double loss) {
-    atm::LanConfig lc;
+    atm::FabricConfig lc;
     lc.n_hosts = 2;
     lc.nic.io_buffer_size = 9216;
     lc.host_link.loss_probability = loss;
-    lan = std::make_unique<atm::AtmLan>(engine, lc);
+    lan = std::make_unique<atm::AtmFabric>(engine, lc);
     net = std::make_unique<AtmSegmentNetwork>(engine, *lan);
     TcpParams p;
     p.nagle = false;
@@ -180,7 +180,7 @@ struct LossyAtmFixture : ::testing::Test {
   }
 
   sim::Engine engine;
-  std::unique_ptr<atm::AtmLan> lan;
+  std::unique_ptr<atm::AtmFabric> lan;
   std::unique_ptr<AtmSegmentNetwork> net;
   std::unique_ptr<TcpMesh> mesh;
   Bytes got;
