@@ -27,7 +27,6 @@ Thread::Thread(Scheduler& scheduler, ThreadId id, std::function<void()> body, Th
       stack_(opts.stack_size) {
   NCS_ASSERT(priority_ >= kHighestPriority && priority_ <= kLowestPriority);
   NCS_ASSERT(body_ != nullptr);
-  stack_.paint();
   context_.init(stack_, &Thread::trampoline, this);
 }
 

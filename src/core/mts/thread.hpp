@@ -69,7 +69,8 @@ class Thread {
 
   bool finished() const { return state_ == ThreadState::finished; }
 
-  /// Peak stack usage, valid once the thread has run (stacks are painted).
+  /// Peak stack usage, valid once the thread has run: page-granular, read
+  /// from the pages the thread committed (stacks are not painted).
   std::size_t stack_high_watermark() const { return stack_.high_watermark(); }
 
  private:

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -67,7 +68,16 @@ void Stack::paint() {
 }
 
 std::size_t Stack::high_watermark() const {
-  if (!painted_) return 0;
+  if (!painted_) {
+    // Stacks grow down: the lowest resident page bounds the deepest touch.
+    const std::size_t ps = page_size();
+    std::vector<unsigned char> resident(size_ / ps);
+    NCS_ASSERT_MSG(::mincore(base_, size_, resident.data()) == 0, "stack mincore failed");
+    for (std::size_t i = 0; i < resident.size(); ++i) {
+      if ((resident[i] & 1u) != 0) return size_ - i * ps;
+    }
+    return 0;
+  }
   // Stacks grow down: scan from the bottom for the first clobbered word.
   const auto* words = static_cast<const std::uint64_t*>(base_);
   const std::size_t n = size_ / sizeof(std::uint64_t);

@@ -33,7 +33,11 @@ class Stack {
   /// peak usage later. Call before first use.
   void paint();
 
-  /// Bytes of stack ever touched since paint(); 0 if never painted.
+  /// Bytes of stack ever touched. After paint(): exact to the word. Never
+  /// painted: read from page residency (mincore), so the stack commits only
+  /// the pages its thread touches; the result is the distance from top() to
+  /// the lowest resident page, a page-granular upper bound (while no stack
+  /// page is swapped out), and 0 while no page has been touched.
   std::size_t high_watermark() const;
 
  private:

@@ -1,6 +1,8 @@
 // Cross-cutting property tests over the full stack.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cluster/cluster.hpp"
 #include "cluster/drivers.hpp"
 #include "cluster/table.hpp"
@@ -31,6 +33,13 @@ struct TcpSweepCase {
   bool nagle;
   bool delayed_ack;
 };
+
+// Prints the case by its settings, e.g. w1_nagle_dack. gtest's default dump
+// of the raw bytes would include the struct's padding in the listed names.
+void PrintTo(const TcpSweepCase& c, std::ostream* os) {
+  *os << 'w' << c.window << (c.nagle ? "_nagle" : "_nonagle")
+      << (c.delayed_ack ? "_dack" : "_nodack");
+}
 
 class TcpParamSweep : public ::testing::TestWithParam<TcpSweepCase> {};
 

@@ -1,7 +1,10 @@
 #include "core/mts/scheduler.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -347,6 +350,29 @@ TEST(Scheduler, StackWatermarkVisibleAfterRun) {
   EXPECT_GE(t->stack_high_watermark(), 8000u);
 }
 
+TEST(Scheduler, SpawnLeavesMostOfTheStackUntouched) {
+  sim::Engine engine;
+  Scheduler sched(engine, zero_cost());
+  const char* frame = nullptr;
+  Thread* t = sched.spawn(
+      [&frame] { frame = static_cast<const char*>(__builtin_frame_address(0)); });
+  engine.run();
+  ASSERT_EQ(qt::Stack::kDefaultSize, 256u * 1024u);
+  EXPECT_GT(t->stack_high_watermark(), 0u);
+  EXPECT_LE(t->stack_high_watermark(), 32u * 1024u);
+  // The watermark alone cannot tell a lazily committed stack from a painted
+  // one: painting makes it byte-exact and just as small. So look at the
+  // pages themselves: 32 to 224 KiB below the body's frame lies inside the
+  // stack, and a thread that never went there must not have committed it.
+  const auto ps = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto lo = (reinterpret_cast<std::uintptr_t>(frame) - 224 * 1024 + ps - 1) / ps * ps;
+  const auto hi = (reinterpret_cast<std::uintptr_t>(frame) - 32 * 1024) / ps * ps;
+  std::vector<unsigned char> resident((hi - lo) / ps);
+  ASSERT_EQ(::mincore(reinterpret_cast<void*>(lo), hi - lo, resident.data()), 0);
+  std::size_t committed = 0;
+  for (const unsigned char r : resident) committed += r & 1u;
+  EXPECT_EQ(committed, 0u) << "of " << resident.size() << " pages";
+}
 
 TEST(Scheduler, YieldToHigherPrefersSystemThreads) {
   sim::Engine engine;

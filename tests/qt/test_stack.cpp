@@ -39,6 +39,18 @@ TEST(Stack, WatermarkTracksDeepestTouch) {
   EXPECT_EQ(s.high_watermark(), 8192u);
 }
 
+TEST(Stack, UnpaintedWatermarkIsPageGranular) {
+  Stack s(64 * 1024);
+  EXPECT_EQ(s.high_watermark(), 0u);
+  // Without paint the watermark is the lowest committed page, so any touch
+  // reads as the whole page it lands in.
+  auto* top = static_cast<std::uint64_t*>(s.top());
+  top[-128] = 42;  // 1024 bytes below top
+  EXPECT_EQ(s.high_watermark(), 4096u);
+  top[-1024] = 43;  // 8192 bytes below top
+  EXPECT_EQ(s.high_watermark(), 8192u);
+}
+
 TEST(Stack, MoveTransfersOwnership) {
   Stack a(64 * 1024);
   void* base = a.base();
