@@ -51,7 +51,7 @@ void wan_demo() {
   wc.n_hosts = 4;
   wc.nic.io_buffer_size = 9216;  // one 8 KB message = one I/O buffer
   AtmFabric wan(engine, wc);
-  WanCallController controller(engine, wan);
+  CallController controller(engine, wan);
 
   std::printf("--- NYNET WAN: host 0 (site 0) calls host 3 (site 1) ---\n");
   controller.agent(3);

@@ -151,10 +151,9 @@ void AtmFabric::add_pvc(int src, int dst, const Plane& plane) {
     const auto hop = static_cast<std::size_t>(rightward ? site : site - 1);
     std::uint32_t& next = (rightward ? next_right_ : next_left_)[hop];
     const VcId label{plane.backbone_vpi, static_cast<std::uint16_t>(next++)};
-    const int out_port = backbone_port(site) + (rightward && site > 0 ? 1 : 0);
-    site_switch(site).add_route(in_port, in_vc, out_port, label);
+    site_switch(site).add_route(in_port, in_vc, port_toward(site, dst), label);
     site += rightward ? 1 : -1;
-    in_port = backbone_port(site) + (!rightward && site > 0 ? 1 : 0);
+    in_port = port_toward(site, src);
     in_vc = label;
   }
   site_switch(dst_site).add_route(in_port, in_vc, local_port(dst), plane.vc(src));

@@ -135,6 +135,13 @@ class AtmFabric {
     const auto s = static_cast<std::size_t>(site);
     return first_host_[s + 1] - first_host_[s];
   }
+  /// Port of `site`'s switch that leads toward `host`: the host's own port
+  /// when it sits at `site`, else the backbone port toward its site.
+  int port_toward(int site, int host) const {
+    const int to = site_of(host);
+    if (to == site) return local_port(host);
+    return backbone_port(site) + (to > site && site > 0 ? 1 : 0);
+  }
 
   /// Backbone labels each plane consumes on the directed hop `hop` ->
   /// `hop+1` (or the reverse) — provisioning headroom introspection.

@@ -1,6 +1,8 @@
 #include "atm/signaling.hpp"
 
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
@@ -20,6 +22,24 @@ void submit_when_free(sim::Engine& engine, Nic& nic, VcId vc, Bytes pdu) {
   nic.notify_tx_buffer([&engine, &nic, vc, p = std::move(pdu)]() mutable {
     submit_when_free(engine, nic, vc, std::move(p));
   });
+}
+
+/// One site on a call's path and its switch's ports toward each party.
+struct Hop {
+  int site;
+  int to_caller;
+  int to_callee;
+};
+
+/// The sites from the caller's to the callee's, in order: one for a
+/// same-site call.
+std::vector<Hop> path_of(const AtmFabric& fabric, int caller, int callee) {
+  std::vector<Hop> path;
+  const int last = fabric.site_of(callee);
+  for (int site = fabric.site_of(caller);; site += site < last ? 1 : -1) {
+    path.push_back({site, fabric.port_toward(site, caller), fabric.port_toward(site, callee)});
+    if (site == last) return path;
+  }
 }
 
 }  // namespace
@@ -148,69 +168,33 @@ void SignalingAgent::on_signaling_pdu(BytesView wire) {
   }
 }
 
-CallController::CallController(sim::Engine& engine, AtmFabric& lan) : engine_(engine), lan_(lan) {
-  NCS_ASSERT_MSG(lan_.n_sites() == 1, "CallController needs a one-site fabric");
-  lan_.site_switch(0).add_local_endpoint(kSignalingVc, [this](int in_port, Burst burst) {
-    const auto decoded = SignalingMessage::decode(burst.payload);
-    if (!decoded.is_ok()) {
-      NCS_WARN("atm.sig", "switch: dropping malformed signaling PDU from port %d", in_port);
-      return;
-    }
-    on_signaling(in_port, decoded.value());
-  });
-  // Signaling always tracks the fabric's health: a dead port releases the
-  // circuits through it so callers can re-establish after recovery.
-  lan_.site_switch(0).fault().subscribe([this](int port, bool down) {
-    if (down) {
-      fail_port(port);
-    } else {
-      restore_port(port);
-    }
-  });
-}
-
-void CallController::release_call_faulted(const Call& call) {
-  remove_call_routes(call);
-  by_vc_.erase(call.caller_vc);
-  by_vc_.erase(call.callee_vc);
-  ++stats_.faulted_releases;
-  if (call.connected) --stats_.active_calls;
-  SignalingMessage note;
-  note.type = SignalingMessageType::release_complete;
-  note.call_ref = call.call_ref;
-  note.calling_party = call.caller;
-  note.called_party = call.callee;
-  note.assigned_vc = call.caller_vc;
-  note.peer_vc = call.callee_vc;
-  // Both parties are told; the one on the dead port won't hear it (the
-  // switch eats the PDU), matching reality.
-  forward_to_host(call.caller, note);
-  forward_to_host(call.callee, note);
-}
-
-void CallController::fail_port(int port) {
-  if (!failed_ports_.insert(port).second) return;
-  NCS_INFO("atm.sig", "call controller: port %d failed, releasing its calls", port);
-  // Host index == port index on the LAN star.
-  for (auto it = calls_.begin(); it != calls_.end();) {
-    const Call call = it->second;
-    if (call.caller == port || call.callee == port) {
-      it = calls_.erase(it);
-      release_call_faulted(call);
-    } else {
-      ++it;
-    }
+CallController::CallController(sim::Engine& engine, AtmFabric& fabric)
+    : engine_(engine), fabric_(fabric) {
+  for (int site = 0; site < fabric_.n_sites(); ++site) {
+    Switch& sw = fabric_.site_switch(site);
+    sw.add_local_endpoint(kSignalingVc, [this, site](int in_port, Burst burst) {
+      const auto decoded = SignalingMessage::decode(burst.payload);
+      if (!decoded.is_ok()) {
+        NCS_WARN("atm.sig", "site %d: dropping malformed signaling PDU from port %d", site,
+                 in_port);
+        return;
+      }
+      on_signaling(site, in_port, decoded.value());
+    });
+    // Signaling always tracks the fabric's health: a dead port releases the
+    // calls through it so callers can re-establish after recovery.
+    sw.fault().subscribe([this, site](int port, bool down) {
+      if (down) fail_port(site, port);
+    });
   }
 }
-
-void CallController::restore_port(int port) { failed_ports_.erase(port); }
 
 SignalingAgent& CallController::agent(int host) {
   auto it = agents_.find(host);
   if (it == agents_.end()) {
     it = agents_
              .emplace(host,
-                      std::make_unique<SignalingAgent>(engine_, lan_.nic(host), host))
+                      std::make_unique<SignalingAgent>(engine_, fabric_.nic(host), host))
              .first;
   }
   return *it->second;
@@ -226,39 +210,128 @@ VcId CallController::allocate_vc() {
   return VcId{0, next_vci_++};
 }
 
-void CallController::install_call_routes(const Call& call) {
-  // Same label on both hops: (caller port, caller_vc) -> (callee port,
-  // caller_vc), and the mirror for the callee's transmit label.
-  lan_.site_switch(0).add_route(call.caller, call.caller_vc, call.callee, call.caller_vc);
-  lan_.site_switch(0).add_route(call.callee, call.callee_vc, call.caller, call.callee_vc);
-}
-
-void CallController::remove_call_routes(const Call& call) {
-  lan_.site_switch(0).remove_route(call.caller, call.caller_vc);
-  lan_.site_switch(0).remove_route(call.callee, call.callee_vc);
-}
-
-void CallController::forward_to_host(int host, const SignalingMessage& msg) {
+void CallController::route_to_host(int site, int host, const SignalingMessage& msg) {
+  const int port = fabric_.port_toward(site, host);
+  // Out a backbone port, the next switch's local endpoint re-enters
+  // on_signaling with the message in transit.
+  if (port >= fabric_.backbone_port(site)) ++stats_.backbone_hops;
   Burst burst;
   burst.vc = kSignalingVc;
   burst.payload = msg.encode();
   burst.n_cells = static_cast<std::uint32_t>(aal5::cell_count(burst.payload.size()));
   burst.end_of_message = true;
-  lan_.site_switch(0).send_local(host, std::move(burst));
+  fabric_.site_switch(site).send_local(port, std::move(burst));
 }
 
-void CallController::on_signaling(int in_port, const SignalingMessage& msg) {
+void CallController::notify(int site, const Call& call, SignalingMessageType type, int party) {
+  SignalingMessage note;
+  note.type = type;
+  note.call_ref = call.call_ref;
+  note.calling_party = call.caller;
+  note.called_party = party;  // explicit destination for transit hops
+  note.assigned_vc = call.caller_vc;
+  note.peer_vc = call.callee_vc;
+  route_to_host(site, party, note);
+}
+
+bool CallController::sent_by(int site, int in_port, int host) const {
+  return host >= 0 && host < fabric_.n_hosts() && fabric_.port_toward(site, host) == in_port;
+}
+
+bool CallController::path_down(int caller, int callee) {
+  for (const Hop& hop : path_of(fabric_, caller, callee)) {
+    const fault::SwitchFault& fault = fabric_.site_switch(hop.site).fault();
+    if (fault.port_down(hop.to_caller) || fault.port_down(hop.to_callee)) return true;
+  }
+  return false;
+}
+
+void CallController::install_routes(const Call& call) {
+  // The same label on every hop: the caller's toward the callee, and the
+  // mirror for the callee's transmit label.
+  for (const Hop& hop : path_of(fabric_, call.caller, call.callee)) {
+    Switch& sw = fabric_.site_switch(hop.site);
+    sw.add_route(hop.to_caller, call.caller_vc, hop.to_callee, call.caller_vc);
+    sw.add_route(hop.to_callee, call.callee_vc, hop.to_caller, call.callee_vc);
+  }
+}
+
+void CallController::disconnect(const Call& call) {
+  for (const Hop& hop : path_of(fabric_, call.caller, call.callee)) {
+    fabric_.site_switch(hop.site).remove_route(hop.to_caller, call.caller_vc);
+    fabric_.site_switch(hop.site).remove_route(hop.to_callee, call.callee_vc);
+  }
+  by_vc_.erase(call.caller_vc);
+  by_vc_.erase(call.callee_vc);
+  --stats_.active_calls;
+}
+
+void CallController::fail_port(int site, int port) {
+  NCS_INFO("atm.sig", "call controller: site %d port %d failed, releasing its calls", site,
+           port);
+  for (auto it = calls_.begin(); it != calls_.end();) {
+    const Call call = it->second;
+    const auto path = path_of(fabric_, call.caller, call.callee);
+    if (std::none_of(path.begin(), path.end(), [&](const Hop& hop) {
+          return hop.site == site && (hop.to_caller == port || hop.to_callee == port);
+        })) {
+      ++it;
+      continue;
+    }
+    it = calls_.erase(it);
+    ++stats_.faulted_releases;
+    if (call.connected) disconnect(call);
+    // Each party hears from its own site's switch; one behind the dead port
+    // never does (the switch eats the PDU), matching reality.
+    notify(fabric_.site_of(call.caller), call,
+           call.connected ? SignalingMessageType::release_complete
+                          : SignalingMessageType::reject,
+           call.caller);
+    notify(fabric_.site_of(call.callee), call, SignalingMessageType::release_complete,
+           call.callee);
+  }
+}
+
+void CallController::on_signaling(int site, int in_port, const SignalingMessage& msg) {
+  // A PDU entering from a backbone port is in transit and goes on toward its
+  // destination host; only a host's own PDU drives the call state.
+  if (in_port >= fabric_.backbone_port(site)) {
+    switch (msg.type) {
+      case SignalingMessageType::setup:
+      case SignalingMessageType::release_complete:
+        route_to_host(site, msg.called_party, msg);
+        return;
+      case SignalingMessageType::connect:
+      case SignalingMessageType::reject: {
+        // A call torn down while its CONNECT crossed the backbone reaches
+        // its caller as refused, not as a circuit whose routes are gone.
+        SignalingMessage answer = msg;
+        if (!calls_.contains(std::make_pair(msg.calling_party, msg.call_ref)))
+          answer.type = SignalingMessageType::reject;
+        route_to_host(site, msg.calling_party, answer);
+        return;
+      }
+      case SignalingMessageType::release:
+        return;  // teardown is driven where the RELEASE enters
+    }
+  }
+
   switch (msg.type) {
     case SignalingMessageType::setup: {
+      if (!sent_by(site, in_port, msg.calling_party)) {
+        NCS_WARN("atm.sig", "site %d: dropping SETUP from port %d that names calling party %d",
+                 site, in_port, msg.calling_party);
+        return;
+      }
       ++stats_.setups;
-      if (msg.called_party < 0 || msg.called_party >= lan_.n_hosts() ||
-          failed_ports_.contains(msg.called_party)) {
-        // Unknown party — or a known one behind a failed port, where the
-        // offer could never be delivered: reject instead of letting the
-        // caller hang on a SETUP with no answer.
+      if (msg.called_party < 0 || msg.called_party >= fabric_.n_hosts() ||
+          path_down(msg.calling_party, msg.called_party)) {
+        // Unknown party, or one behind a failed port where the offer could
+        // never be delivered: reject instead of letting the caller hang on
+        // a SETUP with no answer.
         SignalingMessage reject = msg;
         reject.type = SignalingMessageType::reject;
-        forward_to_host(msg.calling_party, reject);
+        route_to_host(site, msg.calling_party, reject);
         ++stats_.rejects;
         return;
       }
@@ -270,16 +343,28 @@ void CallController::on_signaling(int in_port, const SignalingMessage& msg) {
       SignalingMessage offer = msg;
       offer.assigned_vc = call.callee_vc;
       offer.peer_vc = call.caller_vc;
-      forward_to_host(call.callee, offer);
+      route_to_host(site, call.callee, offer);
       return;
     }
-    case SignalingMessageType::connect: {
+    case SignalingMessageType::connect:
+    case SignalingMessageType::reject: {
+      // Only the callee answers, and only a call still waiting for it.
       const auto it = calls_.find(std::make_pair(msg.calling_party, msg.call_ref));
-      if (it == calls_.end()) return;
+      if (it == calls_.end() || it->second.connected) return;
       Call& call = it->second;
-      NCS_ASSERT(in_port == call.callee);
+      if (!sent_by(site, in_port, call.callee)) {
+        NCS_WARN("atm.sig", "site %d: dropping an answer from port %d, not the callee's",
+                 site, in_port);
+        return;
+      }
+      if (msg.type == SignalingMessageType::reject) {
+        ++stats_.rejects;
+        route_to_host(site, call.caller, msg);
+        calls_.erase(it);
+        return;
+      }
       call.connected = true;
-      install_call_routes(call);
+      install_routes(call);
       by_vc_[call.caller_vc] = it->first;
       by_vc_[call.callee_vc] = it->first;
       ++stats_.connects;
@@ -288,15 +373,7 @@ void CallController::on_signaling(int in_port, const SignalingMessage& msg) {
       SignalingMessage connect = msg;
       connect.assigned_vc = call.caller_vc;
       connect.peer_vc = call.callee_vc;
-      forward_to_host(call.caller, connect);
-      return;
-    }
-    case SignalingMessageType::reject: {
-      const auto it = calls_.find(std::make_pair(msg.calling_party, msg.call_ref));
-      if (it == calls_.end()) return;
-      ++stats_.rejects;
-      forward_to_host(it->second.caller, msg);
-      calls_.erase(it);
+      route_to_host(site, call.caller, connect);
       return;
     }
     case SignalingMessageType::release: {
@@ -305,268 +382,20 @@ void CallController::on_signaling(int in_port, const SignalingMessage& msg) {
       const auto cit = calls_.find(vit->second);
       NCS_ASSERT(cit != calls_.end());
       const Call call = cit->second;
-      remove_call_routes(call);
-      by_vc_.erase(call.caller_vc);
-      by_vc_.erase(call.callee_vc);
+      if (!sent_by(site, in_port, call.caller) && !sent_by(site, in_port, call.callee)) {
+        NCS_WARN("atm.sig", "site %d: dropping a RELEASE from port %d, not a party's", site,
+                 in_port);
+        return;
+      }
       calls_.erase(cit);
+      disconnect(call);
       ++stats_.releases;
-      --stats_.active_calls;
-      // Notify both parties.
-      SignalingMessage note = msg;
-      note.type = SignalingMessageType::release_complete;
-      note.assigned_vc = call.caller_vc;
-      note.peer_vc = call.callee_vc;
-      forward_to_host(call.caller, note);
-      forward_to_host(call.callee, note);
+      notify(site, call, SignalingMessageType::release_complete, call.caller);
+      notify(site, call, SignalingMessageType::release_complete, call.callee);
       return;
     }
     case SignalingMessageType::release_complete:
       return;  // host-side only
-  }
-}
-
-WanCallController::WanCallController(sim::Engine& engine, AtmFabric& wan)
-    : engine_(engine), wan_(wan) {
-  NCS_ASSERT_MSG(wan_.n_sites() == 2, "WanCallController needs a two-site fabric");
-  for (int site = 0; site < 2; ++site) {
-    wan_.site_switch(site).add_local_endpoint(
-        kSignalingVc, [this, site](int in_port, Burst burst) {
-          const auto decoded = SignalingMessage::decode(burst.payload);
-          if (!decoded.is_ok()) {
-            NCS_WARN("atm.sig", "site %d: dropping malformed signaling PDU", site);
-            return;
-          }
-          on_signaling(site, in_port, decoded.value());
-        });
-    wan_.site_switch(site).fault().subscribe([this, site](int port, bool down) {
-      if (down) {
-        fail_port(site, port);
-      } else {
-        restore_port(site, port);
-      }
-    });
-  }
-}
-
-bool WanCallController::touches_port(const Call& call, int site, int port) const {
-  if (port == wan_.backbone_port(site))
-    return wan_.site_of(call.caller) != wan_.site_of(call.callee);
-  for (const int party : {call.caller, call.callee})
-    if (wan_.site_of(party) == site && wan_.local_port(party) == port) return true;
-  return false;
-}
-
-void WanCallController::release_call_faulted(const Call& call) {
-  remove_call_routes(call);
-  by_vc_.erase(call.caller_vc);
-  by_vc_.erase(call.callee_vc);
-  ++stats_.faulted_releases;
-  --stats_.active_calls;
-  for (const int party : {call.caller, call.callee}) {
-    SignalingMessage note;
-    note.type = SignalingMessageType::release_complete;
-    note.call_ref = call.call_ref;
-    note.calling_party = call.caller;
-    note.called_party = party;  // explicit destination for transit hops
-    note.assigned_vc = call.caller_vc;
-    note.peer_vc = call.callee_vc;
-    route_to_host(wan_.site_of(party), party, note);
-  }
-}
-
-void WanCallController::fail_port(int site, int port) {
-  if (!failed_ports_.insert({site, port}).second) return;
-  NCS_INFO("atm.sig", "wan call controller: site %d port %d failed", site, port);
-  // Connected calls only (by_vc_): half-open calls resolve when the
-  // CONNECT/REJECT PDU is eaten by the dead port and the caller retries.
-  for (auto it = calls_.begin(); it != calls_.end();) {
-    const Call call = it->second;
-    if (by_vc_.contains(call.caller_vc) && touches_port(call, site, port)) {
-      it = calls_.erase(it);
-      release_call_faulted(call);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void WanCallController::restore_port(int site, int port) {
-  failed_ports_.erase({site, port});
-}
-
-SignalingAgent& WanCallController::agent(int host) {
-  auto it = agents_.find(host);
-  if (it == agents_.end()) {
-    it = agents_
-             .emplace(host,
-                      std::make_unique<SignalingAgent>(engine_, wan_.nic(host), host))
-             .first;
-  }
-  return *it->second;
-}
-
-VcId WanCallController::allocate_vc() {
-  // Same bound as the LAN controller: dynamic labels stop short of the
-  // lowest reserved PVC plane (the NIC collective-context range) instead
-  // of wrapping into it.
-  NCS_ASSERT_MSG(next_vci_ < kCollVciBase, "dynamic VCI space exhausted");
-  return VcId{0, next_vci_++};
-}
-
-void WanCallController::send_on_switch_port(int site, int port, const SignalingMessage& msg) {
-  Burst burst;
-  burst.vc = kSignalingVc;
-  burst.payload = msg.encode();
-  burst.n_cells = static_cast<std::uint32_t>(aal5::cell_count(burst.payload.size()));
-  burst.end_of_message = true;
-  wan_.site_switch(site).send_local(port, std::move(burst));
-}
-
-void WanCallController::route_to_host(int from_site, int host, const SignalingMessage& msg) {
-  const int target_site = wan_.site_of(host);
-  if (target_site != from_site) {
-    // Transit the backbone: the peer switch's local endpoint re-enters
-    // on_signaling with in_port == its backbone port.
-    ++stats_.backbone_hops;
-    send_on_switch_port(from_site, wan_.backbone_port(from_site), msg);
-    return;
-  }
-  send_on_switch_port(target_site, wan_.local_port(host), msg);
-}
-
-void WanCallController::install_call_routes(const Call& call) {
-  const int sa = wan_.site_of(call.caller);
-  const int sb = wan_.site_of(call.callee);
-  Switch& swa = wan_.site_switch(sa);
-  Switch& swb = wan_.site_switch(sb);
-  const int pa = wan_.local_port(call.caller);
-  const int pb = wan_.local_port(call.callee);
-  if (sa == sb) {
-    swa.add_route(pa, call.caller_vc, pb, call.caller_vc);
-    swa.add_route(pb, call.callee_vc, pa, call.callee_vc);
-    return;
-  }
-  // Label continuity across the backbone: the same VCI on every hop.
-  swa.add_route(pa, call.caller_vc, wan_.backbone_port(sa), call.caller_vc);
-  swb.add_route(wan_.backbone_port(sb), call.caller_vc, pb, call.caller_vc);
-  swb.add_route(pb, call.callee_vc, wan_.backbone_port(sb), call.callee_vc);
-  swa.add_route(wan_.backbone_port(sa), call.callee_vc, pa, call.callee_vc);
-}
-
-void WanCallController::remove_call_routes(const Call& call) {
-  const int sa = wan_.site_of(call.caller);
-  const int sb = wan_.site_of(call.callee);
-  const int pa = wan_.local_port(call.caller);
-  const int pb = wan_.local_port(call.callee);
-  if (sa == sb) {
-    wan_.site_switch(sa).remove_route(pa, call.caller_vc);
-    wan_.site_switch(sa).remove_route(pb, call.callee_vc);
-    return;
-  }
-  wan_.site_switch(sa).remove_route(pa, call.caller_vc);
-  wan_.site_switch(sb).remove_route(wan_.backbone_port(sb), call.caller_vc);
-  wan_.site_switch(sb).remove_route(pb, call.callee_vc);
-  wan_.site_switch(sa).remove_route(wan_.backbone_port(sa), call.callee_vc);
-}
-
-void WanCallController::on_signaling(int site, int in_port, const SignalingMessage& msg) {
-  // A message entering from the backbone port continues towards its
-  // destination host; host-originated messages drive the call state.
-  const bool from_backbone = in_port == wan_.backbone_port(site);
-
-  switch (msg.type) {
-    case SignalingMessageType::setup: {
-      if (from_backbone) {  // offer in transit towards the callee
-        route_to_host(site, msg.called_party, msg);
-        return;
-      }
-      ++stats_.setups;
-      bool unreachable = msg.called_party < 0 || msg.called_party >= wan_.n_hosts();
-      if (!unreachable) {
-        const int target_site = wan_.site_of(msg.called_party);
-        unreachable =
-            failed_ports_.contains({target_site, wan_.local_port(msg.called_party)});
-        // A cross-site offer also needs the backbone alive on both ends.
-        if (target_site != site)
-          unreachable = unreachable ||
-                        failed_ports_.contains({site, wan_.backbone_port(site)}) ||
-                        failed_ports_.contains(
-                            {target_site, wan_.backbone_port(target_site)});
-      }
-      if (unreachable) {
-        SignalingMessage reject = msg;
-        reject.type = SignalingMessageType::reject;
-        route_to_host(site, msg.calling_party, reject);
-        ++stats_.rejects;
-        return;
-      }
-      Call call{msg.call_ref, msg.calling_party, msg.called_party, allocate_vc(),
-                allocate_vc()};
-      calls_.emplace(std::make_pair(call.caller, call.call_ref), call);
-      SignalingMessage offer = msg;
-      offer.assigned_vc = call.callee_vc;
-      offer.peer_vc = call.caller_vc;
-      route_to_host(site, call.callee, offer);
-      return;
-    }
-    case SignalingMessageType::connect: {
-      if (from_backbone) {
-        route_to_host(site, msg.calling_party, msg);
-        return;
-      }
-      const auto it = calls_.find(std::make_pair(msg.calling_party, msg.call_ref));
-      if (it == calls_.end()) return;
-      Call& call = it->second;
-      install_call_routes(call);
-      by_vc_[call.caller_vc] = it->first;
-      by_vc_[call.callee_vc] = it->first;
-      ++stats_.connects;
-      ++stats_.active_calls;
-      SignalingMessage connect = msg;
-      connect.assigned_vc = call.caller_vc;
-      connect.peer_vc = call.callee_vc;
-      route_to_host(site, call.caller, connect);
-      return;
-    }
-    case SignalingMessageType::reject: {
-      if (from_backbone) {
-        route_to_host(site, msg.calling_party, msg);
-        return;
-      }
-      const auto it = calls_.find(std::make_pair(msg.calling_party, msg.call_ref));
-      if (it == calls_.end()) return;
-      ++stats_.rejects;
-      SignalingMessage reject = msg;
-      route_to_host(site, it->second.caller, reject);
-      calls_.erase(it);
-      return;
-    }
-    case SignalingMessageType::release: {
-      if (from_backbone) return;  // teardown is driven at first entry
-      const auto vit = by_vc_.find(msg.assigned_vc);
-      if (vit == by_vc_.end()) return;
-      const auto cit = calls_.find(vit->second);
-      NCS_ASSERT(cit != calls_.end());
-      const Call call = cit->second;
-      remove_call_routes(call);
-      by_vc_.erase(call.caller_vc);
-      by_vc_.erase(call.callee_vc);
-      calls_.erase(cit);
-      ++stats_.releases;
-      --stats_.active_calls;
-      for (const int party : {call.caller, call.callee}) {
-        SignalingMessage note = msg;
-        note.type = SignalingMessageType::release_complete;
-        note.called_party = party;  // explicit destination for transit hops
-        note.assigned_vc = call.caller_vc;
-        note.peer_vc = call.callee_vc;
-        route_to_host(site, party, note);
-      }
-      return;
-    }
-    case SignalingMessageType::release_complete:
-      if (from_backbone) route_to_host(site, msg.called_party, msg);
-      return;
   }
 }
 

@@ -1,29 +1,40 @@
 // ATM switched-virtual-circuit signaling (Q.2931-shaped, simplified).
 //
-// The paper's testbed uses preconfigured PVCs (our topology builders
-// install a full mesh); real ATM deployments set circuits up on demand
-// over the reserved signaling channel VPI 0 / VCI 5. This module adds that
-// control plane to the LAN fabric as an extension:
+// The paper's testbed uses preconfigured PVCs (the fabric installs a full
+// mesh); real ATM deployments set circuits up on demand over the reserved
+// signaling channel VPI 0 / VCI 5. This module adds that control plane to
+// any chain of sites (atm::AtmFabric) as an extension:
 //
-//   host A                switch (CallController)              host B
-//   SETUP(called=B) ----->  allocate VC labels,
-//                           install half routes   -----> SETUP(caller=A)
-//                                                        agent accepts?
-//   CONNECT(vc) <--------  activate routes        <----- CONNECT
+//   host A               site switches (CallController)          host B
+//   SETUP(called=B) ----->  allocate two VC labels   -----> SETUP(caller=A)
+//                                                          agent accepts?
+//   CONNECT(vc) <--------  install routes on every   <----- CONNECT
+//                          switch of the path
 //   ... data on the assigned VC ...
-//   RELEASE(vc) ---------> tear down routes       -----> RELEASE(vc)
+//   RELEASE(vc) ---------> remove the routes         -----> RELEASE_COMPLETE
 //
-// Signaling messages ride ordinary AAL5 PDUs on the signaling VC; the
-// CallController owns the dynamic label space above the static mesh and
-// mutates the switch's routing table at call setup/teardown — exercising
-// the switch as a mutable, not just preconfigured, fabric.
+// Signaling PDUs ride ordinary AAL5 on the signaling VC, which terminates
+// at every site switch; a PDU for a host at another site is relayed one
+// backbone hop at a time, so a same-site call is the zero-hop case of a
+// cross-site one. A call keeps its two labels (one per direction) on every
+// hop; they sit on VPI 0, clear of the backbone PVCs' VPIs 1-3. The
+// controller treats a PDU's party fields as untrusted: a SETUP whose
+// calling party is not the host on its ingress port, an answer that does
+// not come from the callee, or a RELEASE from neither party is dropped.
+//
+// One port-failure rule: when a switch port goes down, every call whose
+// path crosses it is torn down. A connected call's parties get
+// RELEASE_COMPLETE; a half-open call's caller gets a REJECT (so open_call
+// resolves with an error and may retry) and its callee RELEASE_COMPLETE.
+// A CONNECT still crossing the backbone when its call is torn down reaches
+// the caller as a REJECT. A SETUP is rejected while any port on its path
+// is down.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 
 #include "atm/network.hpp"
 #include "common/result.hpp"
@@ -112,22 +123,16 @@ class SignalingAgent {
   Stats stats_;
 };
 
-/// Switch-side call controller for a single-switch (LAN) fabric: owns the
-/// dynamic VCI space, installs/removes routes, and relays the signaling
-/// conversation between the parties.
+/// Switch-side call controller for a chain of any number of sites: owns the
+/// dynamic VCI space, installs and removes each call's routes on every
+/// switch of its path, and relays the signaling conversation between the
+/// parties, hop by hop across the backbone.
 class CallController {
  public:
-  CallController(sim::Engine& engine, AtmFabric& lan);
+  CallController(sim::Engine& engine, AtmFabric& fabric);
 
   /// Returns the agent for `host` (created lazily on first use).
   SignalingAgent& agent(int host);
-
-  /// Port-failure handling (driven by the switch's SwitchFault, to which
-  /// the controller subscribes at construction; tests may call directly).
-  /// fail_port releases every call whose party sits on `port` and rejects
-  /// new SETUPs towards it until restore_port.
-  void fail_port(int port);
-  void restore_port(int port);
 
   struct Stats {
     std::uint64_t setups = 0;
@@ -135,6 +140,7 @@ class CallController {
     std::uint64_t rejects = 0;
     std::uint64_t releases = 0;
     std::uint64_t active_calls = 0;
+    std::uint64_t backbone_hops = 0;     // backbone links crossed by signaling PDUs
     std::uint64_t faulted_releases = 0;  // calls torn down by port failure
   };
   const Stats& stats() const { return stats_; }
@@ -144,94 +150,38 @@ class CallController {
   void set_next_vci_for_test(std::uint16_t v) { next_vci_ = v; }
 
  private:
-  friend class SignalingAgent;
-
   struct Call {
     std::uint32_t call_ref;
     int caller;
     int callee;
-    VcId caller_vc;  // label the caller transmits on
-    VcId callee_vc;  // label the callee transmits on
+    VcId caller_vc;  // label the caller transmits on, on every hop
+    VcId callee_vc;  // label the callee transmits on, on every hop
     bool connected = false;
   };
 
-  /// Entry point for signaling PDUs arriving at the switch from `in_port`.
-  void on_signaling(int in_port, const SignalingMessage& msg);
-  void forward_to_host(int host, const SignalingMessage& msg);
+  /// Entry point for signaling PDUs arriving at `site`'s switch from `in_port`.
+  void on_signaling(int site, int in_port, const SignalingMessage& msg);
+  /// Sends `msg` from `site`'s switch one hop toward `host`.
+  void route_to_host(int site, int host, const SignalingMessage& msg);
+  /// Sends a controller-made `type` PDU about `call` to `party` from `site`.
+  void notify(int site, const Call& call, SignalingMessageType type, int party);
+  /// Whether `host` is a valid host attached to `site`'s `in_port`.
+  bool sent_by(int site, int in_port, int host) const;
+  /// Whether any port on the caller -> callee path is down.
+  bool path_down(int caller, int callee);
   VcId allocate_vc();
-  void install_call_routes(const Call& call);
-  void remove_call_routes(const Call& call);
-
-  void release_call_faulted(const Call& call);
+  void install_routes(const Call& call);
+  /// Drops a connected call's routes and labels.
+  void disconnect(const Call& call);
+  /// The port-failure rule (see the file comment), driven by every site
+  /// switch's SwitchFault.
+  void fail_port(int site, int port);
 
   sim::Engine& engine_;
-  AtmFabric& lan_;
+  AtmFabric& fabric_;
   std::map<int, std::unique_ptr<SignalingAgent>> agents_;
   std::map<std::pair<int, std::uint32_t>, Call> calls_;  // (caller, ref)
   std::map<VcId, std::pair<int, std::uint32_t>> by_vc_;  // either data vc -> call key
-  std::set<int> failed_ports_;
-  std::uint16_t next_vci_ = kDynamicVciBase;
-  Stats stats_;
-};
-
-/// Call controller for the two-site WAN fabric: the same protocol, but a
-/// cross-site call's signaling transits the SONET backbone hop-by-hop and
-/// its data routes are installed on *both* site switches with label
-/// continuity across the backbone.
-class WanCallController {
- public:
-  WanCallController(sim::Engine& engine, AtmFabric& wan);
-
-  SignalingAgent& agent(int host);
-
-  /// Port-failure handling on `site`'s switch (subscribed to both site
-  /// switches' SwitchFault at construction). A failed backbone port
-  /// releases every cross-site call.
-  void fail_port(int site, int port);
-  void restore_port(int site, int port);
-
-  struct Stats {
-    std::uint64_t setups = 0;
-    std::uint64_t connects = 0;
-    std::uint64_t rejects = 0;
-    std::uint64_t releases = 0;
-    std::uint64_t active_calls = 0;
-    std::uint64_t backbone_hops = 0;  // signaling messages that crossed sites
-    std::uint64_t faulted_releases = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
-  /// Test hook: fast-forwards the dynamic label allocator (see
-  /// CallController::set_next_vci_for_test).
-  void set_next_vci_for_test(std::uint16_t v) { next_vci_ = v; }
-
- private:
-  struct Call {
-    std::uint32_t call_ref;
-    int caller;
-    int callee;
-    VcId caller_vc;
-    VcId callee_vc;
-  };
-
-  void on_signaling(int site, int in_port, const SignalingMessage& msg);
-  /// Delivers `msg` to `host`, transiting the backbone first when it is
-  /// not reachable from `from_site`.
-  void route_to_host(int from_site, int host, const SignalingMessage& msg);
-  void send_on_switch_port(int site, int port, const SignalingMessage& msg);
-  VcId allocate_vc();
-  void install_call_routes(const Call& call);
-  void remove_call_routes(const Call& call);
-
-  void release_call_faulted(const Call& call);
-  bool touches_port(const Call& call, int site, int port) const;
-
-  sim::Engine& engine_;
-  AtmFabric& wan_;
-  std::map<int, std::unique_ptr<SignalingAgent>> agents_;
-  std::map<std::pair<int, std::uint32_t>, Call> calls_;
-  std::map<VcId, std::pair<int, std::uint32_t>> by_vc_;
-  std::set<std::pair<int, int>> failed_ports_;  // (site, port)
   std::uint16_t next_vci_ = kDynamicVciBase;
   Stats stats_;
 };

@@ -66,7 +66,7 @@ class Switch : public CellSink {
   const std::string& name() const { return name_; }
 
   /// Per-port failure state. Bursts entering or leaving a downed port are
-  /// dropped (and counted); the SVC call controllers subscribe here to
+  /// dropped (and counted); the SVC call controller subscribes here to
   /// release circuits through dead ports.
   fault::SwitchFault& fault() { return fault_; }
 

@@ -125,7 +125,7 @@ class NicFault {
 };
 
 /// Fault state of one switch: per-port down flags. The switch drops bursts
-/// entering or leaving a dead port; subscribers (the SVC call controllers)
+/// entering or leaving a dead port; subscribers (the SVC call controller)
 /// are notified on every transition so they can release and later
 /// re-establish circuits through the port.
 class SwitchFault {

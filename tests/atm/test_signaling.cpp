@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace ncs::atm {
 namespace {
 
@@ -259,6 +262,25 @@ TEST_F(SignalingFixture, PortFailureReleasesCallsAndRecoveredPortCarriesNewSvc) 
   EXPECT_EQ(lan->site_switch(0).stats().unroutable, unroutable_before + 1);
 }
 
+TEST_F(SignalingFixture, ReleaseFromAThirdHostIsDropped) {
+  std::optional<VcId> vc;
+  controller->agent(1);
+  controller->agent(0).open_call(1, [&](Result<VcId> r) { vc = r.value(); });
+  engine.run();
+  ASSERT_TRUE(vc.has_value());
+
+  controller->agent(2).release_call(*vc);  // host 2 is not a party
+  engine.run();
+  EXPECT_EQ(controller->stats().releases, 0u);
+  EXPECT_EQ(controller->stats().active_calls, 1u);
+
+  Bytes got;
+  lan->nic(1).set_rx_handler([&](VcId, Bytes d, bool) { got = std::move(d); });
+  lan->nic(0).submit_tx(*vc, to_bytes("still up"), true);
+  engine.run();
+  EXPECT_EQ(got, to_bytes("still up"));
+}
+
 // --- dynamic-label space vs. the reserved planes ---------------------------
 
 TEST_F(SignalingFixture, DynamicVciStopsBelowTheCollectivePlane) {
@@ -299,12 +321,12 @@ struct WanSignalingFixture : ::testing::Test {
     wc.n_sites = 2;
     wc.n_hosts = 4;  // 0,1 at site 0; 2,3 at site 1
     wan = std::make_unique<AtmFabric>(engine, wc);
-    controller = std::make_unique<WanCallController>(engine, *wan);
+    controller = std::make_unique<CallController>(engine, *wan);
   }
 
   sim::Engine engine;
   std::unique_ptr<AtmFabric> wan;
-  std::unique_ptr<WanCallController> controller;
+  std::unique_ptr<CallController> controller;
 };
 
 TEST_F(WanSignalingFixture, SameSiteCallWorks) {
@@ -425,6 +447,231 @@ TEST_F(WanSignalingFixture, BackbonePortFailureReleasesAndCallReestablishes) {
   wan->nic(0).submit_tx(*vc2, to_bytes("reestablished"), true);
   engine.run();
   EXPECT_EQ(got, to_bytes("reestablished"));
+}
+
+TEST_F(WanSignalingFixture, ConnectInFlightWhenItsCallIsTornDownIsRefused) {
+  controller->agent(3);
+  bool answered = false;
+  Status status;
+  controller->agent(0).open_call(3, [&](Result<VcId> r) {
+    answered = true;
+    status = r.status();
+  });
+  // The call is up at site 1 and its CONNECT is on the backbone when the
+  // backbone port behind it dies.
+  while (controller->stats().connects == 0 && engine.step()) {
+  }
+  wan->site_switch(1).fault().set_port_down(wan->backbone_port(1), true);
+  engine.run();
+  EXPECT_TRUE(answered);
+  EXPECT_EQ(status.code(), ErrorCode::failed_precondition);
+  EXPECT_EQ(controller->stats().faulted_releases, 1u);
+  EXPECT_EQ(controller->stats().active_calls, 0u);
+}
+
+// --- any chain of sites: one controller, one port-failure rule ----------------
+
+/// Two hosts per site; host 0 calls the last host, at the last site.
+struct ChainFixture {
+  explicit ChainFixture(int n_sites) {
+    FabricConfig fc;
+    fc.n_sites = n_sites;
+    fc.n_hosts = 2 * n_sites;
+    fabric = std::make_unique<AtmFabric>(engine, fc);
+    controller = std::make_unique<CallController>(engine, *fabric);
+    callee = fc.n_hosts - 1;
+    fabric->nic(callee).set_rx_handler([this](VcId, Bytes d, bool) { received = std::move(d); });
+  }
+
+  /// Host 0 calls the callee; the caller's transmit label once connected.
+  std::optional<VcId> connect() {
+    controller->agent(callee);  // online, accepting by default
+    std::optional<VcId> vc;
+    controller->agent(0).open_call(callee, [&](Result<VcId> r) {
+      if (r.is_ok()) vc = r.value();
+    });
+    engine.run();
+    return vc;
+  }
+
+  /// Sends `text` from host 0 on `vc`; what the callee received.
+  Bytes carry(VcId vc, const char* text) {
+    received.clear();
+    fabric->nic(0).submit_tx(vc, to_bytes(text), true);
+    engine.run();
+    return received;
+  }
+
+  /// Submits a hand-made signaling PDU from `host`'s NIC, bypassing its agent.
+  void inject(int host, const SignalingMessage& msg) {
+    ASSERT_TRUE(fabric->nic(host).tx_buffer_available());
+    fabric->nic(host).submit_tx(kSignalingVc, msg.encode(), true);
+  }
+
+  sim::Engine engine;
+  std::unique_ptr<AtmFabric> fabric;
+  std::unique_ptr<CallController> controller;
+  int callee = 0;
+  Bytes received;
+};
+
+struct ChainSignaling : ::testing::TestWithParam<int>, ChainFixture {
+  ChainSignaling() : ChainFixture(GetParam()) {}
+};
+
+INSTANTIATE_TEST_SUITE_P(Sites, ChainSignaling, ::testing::Values(1, 2, 3),
+                         [](const auto& pinfo) { return "sites" + std::to_string(pinfo.param); });
+
+TEST_P(ChainSignaling, ForgedSetupIsDroppedAndLaterCallsConnect) {
+  controller->agent(1);
+  // A calling party out of range, negative, or a real host on another port.
+  for (const int forged : {99, -1, 1}) {
+    SignalingMessage setup;
+    setup.type = SignalingMessageType::setup;
+    setup.call_ref = 7;
+    setup.calling_party = forged;
+    setup.called_party = 1;
+    inject(0, setup);
+    engine.run();
+  }
+  EXPECT_EQ(controller->stats().setups, 0u);
+  EXPECT_EQ(controller->stats().rejects, 0u);
+  EXPECT_EQ(controller->stats().active_calls, 0u);
+  EXPECT_EQ(controller->agent(1).stats().calls_accepted, 0u);
+
+  const auto vc = connect();
+  ASSERT_TRUE(vc.has_value());
+  EXPECT_EQ(carry(*vc, "after the forgery"), to_bytes("after the forgery"));
+}
+
+TEST_P(ChainSignaling, AnswerNotFromTheCalleeIsDropped) {
+  controller->agent(callee).set_incoming_filter([](int) { return false; });
+  int answers = 0;
+  Status status;
+  controller->agent(0).open_call(callee, [&](Result<VcId> r) {
+    ++answers;
+    status = r.status();
+  });
+  // The caller answers its own call right behind the SETUP: taken for the
+  // callee's CONNECT, it would connect a call the callee refuses.
+  SignalingMessage forged;
+  forged.type = SignalingMessageType::connect;
+  forged.call_ref = 1;
+  forged.calling_party = 0;
+  forged.called_party = callee;
+  inject(0, forged);
+  engine.run();
+  EXPECT_EQ(answers, 1);
+  EXPECT_EQ(status.code(), ErrorCode::failed_precondition);
+  EXPECT_EQ(controller->stats().connects, 0u);
+  EXPECT_EQ(controller->stats().rejects, 1u);
+  EXPECT_EQ(controller->stats().active_calls, 0u);
+}
+
+TEST_P(ChainSignaling, HalfOpenCallAcrossPortFailureIsAnswered) {
+  const int site = fabric->site_of(callee);
+  const int port = fabric->local_port(callee);
+  controller->agent(callee).set_incoming_filter([&](int) {
+    fabric->site_switch(site).fault().set_port_down(port, true);
+    return true;  // its CONNECT dies on the dead port
+  });
+  bool answered = false;
+  Status status;
+  controller->agent(0).open_call(callee, [&](Result<VcId> r) {
+    answered = true;
+    status = r.status();
+  });
+  engine.run();
+  EXPECT_TRUE(answered);
+  EXPECT_EQ(status.code(), ErrorCode::failed_precondition);
+  EXPECT_EQ(controller->stats().active_calls, 0u);
+  EXPECT_EQ(controller->stats().faulted_releases, 1u);
+
+  fabric->site_switch(site).fault().set_port_down(port, false);
+  controller->agent(callee).set_incoming_filter(nullptr);
+  const auto vc = connect();
+  ASSERT_TRUE(vc.has_value());
+  EXPECT_EQ(carry(*vc, "after recovery"), to_bytes("after recovery"));
+}
+
+struct ThreeSiteSignaling : ::testing::Test, ChainFixture {
+  ThreeSiteSignaling() : ChainFixture(3) {}  // hosts 0,1 | 2,3 | 4,5
+};
+
+TEST_F(ThreeSiteSignaling, CallAcrossTheChainConnectsCarriesAndReleases) {
+  const auto vc = connect();
+  ASSERT_TRUE(vc.has_value());
+  EXPECT_EQ(controller->stats().backbone_hops, 4u);  // offer out, connect back
+  EXPECT_EQ(carry(*vc, "across three sites"), to_bytes("across three sites"));
+  const auto back = controller->agent(callee).accepted_vc_from(0);
+  ASSERT_TRUE(back.has_value());
+
+  // How many of the call's two labels `site`'s switch cannot route, each
+  // entering from the port its traffic uses.
+  const auto unroutable_at = [&](int site) {
+    Switch& sw = fabric->site_switch(site);
+    const auto before = sw.stats().unroutable;
+    for (const auto& [from, label] : {std::pair{0, *vc}, std::pair{callee, *back}}) {
+      Burst burst;
+      burst.vc = label;
+      burst.payload = to_bytes("stale");
+      burst.n_cells = static_cast<std::uint32_t>(aal5::cell_count(burst.payload.size()));
+      sw.accept(fabric->port_toward(site, from), std::move(burst));
+    }
+    engine.run();
+    return sw.stats().unroutable - before;
+  };
+  for (int site = 0; site < 3; ++site) EXPECT_EQ(unroutable_at(site), 0u) << "site " << site;
+
+  controller->agent(0).release_call(*vc);
+  engine.run();
+  EXPECT_EQ(controller->stats().active_calls, 0u);
+  EXPECT_FALSE(controller->agent(callee).accepted_vc_from(0).has_value());
+  for (int site = 0; site < 3; ++site) EXPECT_EQ(unroutable_at(site), 2u) << "site " << site;
+
+  const auto before = fabric->site_switch(0).stats().unroutable;
+  fabric->nic(0).submit_tx(*vc, to_bytes("ghost"), true);
+  engine.run();
+  EXPECT_EQ(fabric->site_switch(0).stats().unroutable, before + 1);
+}
+
+TEST_F(ThreeSiteSignaling, MiddlePortFailureReleasesAndRejectsUntilRecovery) {
+  controller->agent(3);  // site 1
+  const auto vc = connect();
+  ASSERT_TRUE(vc.has_value());
+  int caller_told = 0;
+  controller->agent(0).set_release_handler([&](VcId caller_vc, VcId) {
+    if (caller_vc == *vc) ++caller_told;
+  });
+
+  // Site 1's port toward site 2.
+  const int port = fabric->port_toward(1, callee);
+  EXPECT_EQ(port, fabric->backbone_port(1) + 1);
+  fabric->site_switch(1).fault().set_port_down(port, true);
+  engine.run();
+  EXPECT_EQ(controller->stats().faulted_releases, 1u);
+  EXPECT_EQ(controller->stats().active_calls, 0u);
+  EXPECT_EQ(caller_told, 1);
+  EXPECT_FALSE(controller->agent(callee).accepted_vc_from(0).has_value());
+
+  Status status;
+  controller->agent(0).open_call(callee, [&](Result<VcId> r) { status = r.status(); });
+  engine.run();
+  EXPECT_EQ(status.code(), ErrorCode::failed_precondition);
+
+  // A call whose path stops short of the dead port is unaffected.
+  std::optional<VcId> near;
+  controller->agent(0).open_call(3, [&](Result<VcId> r) {
+    if (r.is_ok()) near = r.value();
+  });
+  engine.run();
+  EXPECT_TRUE(near.has_value());
+
+  fabric->site_switch(1).fault().set_port_down(port, false);
+  const auto vc2 = connect();
+  ASSERT_TRUE(vc2.has_value());
+  EXPECT_NE(*vc2, *vc);
+  EXPECT_EQ(carry(*vc2, "reestablished"), to_bytes("reestablished"));
 }
 
 }  // namespace
